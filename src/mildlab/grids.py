@@ -64,7 +64,6 @@ class Grid:
             shp[ax] = -1
             self.x.append(x1.reshape(shp))
         self._ball_cache = {}
-        self._distance_cache = None
 
     @property
     def size(self):
@@ -120,14 +119,6 @@ class TimeGrid:
     def default_for(cls, grid, count=64):
         """Resolvable diffusion scales of the grid: [h^2, L^2]."""
         return cls.spanning(grid.spacing ** 2, grid.box_half_width ** 2, count)
-
-    def locate(self, t):
-        """Interval index j and log-space weight theta for t, clamped to the span."""
-        logs = np.log(self.times)
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), self.count - 2)
-        theta = (np.log(t) - logs[j]) / (logs[j + 1] - logs[j])
-        return j, float(min(max(theta, 0.0), 1.0))
 
     def __len__(self):
         return self.count

@@ -315,6 +315,8 @@ def data_norm_components(data, exps, time_grid=None, sampling=None):
     }
 
 
+#: most smoothing constants kept; the oldest entry is dropped first
+_SMOOTHING_CACHE_SIZE = 256
 _SMOOTHING_CACHE = {}
 
 
@@ -324,15 +326,18 @@ def smoothing_constant(grid, src_idx, dst_idx, derivative=False, time_grid=None,
     ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over random fields.
 
     The sup ratio over a default 4-decade time grid and the field
-    ensemble; cached per (grid, index, ensemble) signature.
+    ensemble; cached per (grid geometry, ball sampling, index, ensemble)
+    signature.
     """
     if not dst_idx.is_sup:
         if dst_idx.p < src_idx.p - 1e-12 or \
                 dst_idx.p / dst_idx.p1 < src_idx.p / src_idx.p1 - 1e-12:
             raise ValueError("smoothing estimate needs p >= q and p/p1 >= q/q1 "
                              f"(src {src_idx}, dst {dst_idx})")
-    key = (id(grid), src_idx.p, src_idx.p1, dst_idx.p, dst_idx.p1, derivative,
-           n_fields, seed,
+    if sampling is None:
+        sampling = BallSampling.default_for(grid)
+    key = ((grid.dim, grid.m, grid.box_half_width), (sampling.center_stride, sampling.radii),
+           src_idx.p, src_idx.p1, dst_idx.p, dst_idx.p1, derivative, n_fields, seed,
            None if time_grid is None else (time_grid.t0, time_grid.ratio, time_grid.count))
     if key in _SMOOTHING_CACHE:
         return _SMOOTHING_CACHE[key]
@@ -361,5 +366,7 @@ def smoothing_constant(grid, src_idx, dst_idx, derivative=False, time_grid=None,
             target = gradient(evolved) if derivative else evolved
             ratio = morrey_norm(target, dst_idx, sampling) / (t ** (-power) * src_norm)
             best = max(best, ratio)
+    while len(_SMOOTHING_CACHE) >= _SMOOTHING_CACHE_SIZE:
+        del _SMOOTHING_CACHE[next(iter(_SMOOTHING_CACHE))]
     _SMOOTHING_CACHE[key] = float(best)
     return _SMOOTHING_CACHE[key]

@@ -2,10 +2,10 @@
 integral map on stored trajectories, Picard iteration with a contraction
 trace, and the constant bookkeeping behind the smallness threshold.
 
-The map evaluates its nine integral terms by the matched singular rules;
-integrand spectra are formed once per stored time (with every
-lag-independent factor applied) and interpolated linearly in log t at the
-quadrature nodes, clamped below the first stored time.
+The map evaluates its nine integral terms by the matched singular rules.
+Integrand spectra are formed once per stored time (with every
+lag-independent factor applied) on the 2/3-dealiased modes; the map is
+linear in them, through one weight matrix per output time and rule group.
 """
 
 import math
@@ -16,12 +16,11 @@ import numpy as np
 
 from .grids import Grid, TimeGrid
 from .state import StateTuple, Trajectory
-from .spectral import SpectralField, VectorField, heat_apply, damped_heat_apply, \
-    leray_project, spectral_divergence_defect
+from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
+    spectral_divergence_defect, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
 from .duhamel import (QuadratureRule, rule_exponents, bilinear_constant_bound,
-                      linear_constant_bound, ConstantsTable, ForceField,
-                      integrand_spectrum, ALL_TAGS)
+                      linear_constant_bound, ConstantsTable, ForceField, ALL_TAGS)
 from .admissibility import check_admissible
 
 _BILINEAR_TAGS = ("B141", "B112", "B113", "B242", "B212", "B343", "B444")
@@ -40,13 +39,15 @@ class SolverConfig:
     tol: float = 1e-8
     force: ForceField = None
     sampling: object = None
-    integrand_dtype: type = complex
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.force is not None and not self.grid.compatible(self.force.grid):
+            raise ValueError(f"force lives on {self.force.grid!r}, "
+                             f"not on the solver grid {self.grid!r}")
         report = check_admissible(self.exps)
         if not report.admissible:
             raise ValueError("exponents are not admissible: "
@@ -104,103 +105,106 @@ def caloric_extension(data, gamma, time_grid):
     return Trajectory.from_states(states)
 
 
-def _integrand_store(traj, force, have_force, dtype=complex):
-    """Contracted integrand spectra of every bilinear term and L4, stacked
-    per stored time; shares the physical transforms across tags."""
+def _integrand_store(traj, force, have_force):
+    """Contracted integrand spectra of every bilinear term and L4, flattened
+    to the 2/3-dealiased modes (every other mode of a dealiased product is
+    exactly zero) and stacked per stored time as (T, [dim,] modes); the
+    physical transforms are shared across tags.  L3 is the cell density
+    itself, kept on every mode as (T, all modes)."""
     grid = traj.grid
     dim = grid.dim
-    ks = grid.kshape
     t_count = len(traj)
-    mask = grid.dealias_mask
-    k = grid.k
-    store = {tag: np.empty((t_count,) + ks, dtype=dtype)
+    keep = np.flatnonzero(grid.dealias_mask)
+    k = [np.broadcast_to(ki, grid.kshape).reshape(-1)[keep] for ki in grid.k]
+    inv_k2 = grid.inv_k2.reshape(-1)[keep]
+    store = {tag: np.empty((t_count, keep.size), dtype=complex)
              for tag in ("B141", "B112", "B113", "B242", "B212", "B343")}
-    store["B444"] = np.empty((t_count, dim) + ks, dtype=dtype)
+    store["B444"] = np.empty((t_count, dim, keep.size), dtype=complex)
     if have_force:
-        store["L4"] = np.empty((t_count, dim) + ks, dtype=dtype)
+        store["L4"] = np.empty((t_count, dim, keep.size), dtype=complex)
     f_phys = force.f.to_physical() if have_force else None
-    inv_k2 = grid.inv_k2
+
+    def packed(values):
+        return grid.forward(values).reshape(-1)[keep]
+
+    def div_contract(phys_list):
+        return -sum((1j * k[ax]) * packed(vals) for ax, vals in enumerate(phys_list))
+
+    def project(raw, out):
+        dot = sum(k[ax] * raw[ax] for ax in range(dim)) * inv_k2
+        for j in range(dim):
+            out[j] = raw[j] - k[j] * dot
 
     for kk in range(t_count):
         n_phys = grid.backward(traj.n[kk])
         c_phys = grid.backward(traj.c[kk])
         u_phys = [grid.backward(traj.u[kk, ax]) for ax in range(dim)]
-        grad_c = [grid.backward((1j * k[ax]) * traj.c[kk]) for ax in range(dim)]
-        grad_v = [grid.backward((1j * k[ax]) * traj.v[kk]) for ax in range(dim)]
-
-        def div_contract(phys_list):
-            acc = None
-            for ax, vals in enumerate(phys_list):
-                term = (1j * k[ax]) * (grid.forward(vals) * mask)
-                acc = term if acc is None else acc + term
-            return -acc
-
+        grad_c = [grid.backward((1j * grid.k[ax]) * traj.c[kk]) for ax in range(dim)]
+        grad_v = [grid.backward((1j * grid.k[ax]) * traj.v[kk]) for ax in range(dim)]
         store["B141"][kk] = div_contract([up * n_phys for up in u_phys])
         store["B112"][kk] = div_contract([n_phys * g for g in grad_c])
         store["B113"][kk] = div_contract([n_phys * g for g in grad_v])
         store["B242"][kk] = div_contract([up * c_phys for up in u_phys])
-        store["B212"][kk] = -(grid.forward(n_phys * c_phys) * mask)
-        store["B343"][kk] = -(grid.forward(sum(a * b for a, b in zip(u_phys, grad_v)))
-                              * mask)
+        store["B212"][kk] = -packed(n_phys * c_phys)
+        store["B343"][kk] = -packed(sum(a * b for a, b in zip(u_phys, grad_v)))
         # projected divergence of the velocity self-advection tensor
-        raw = [None] * dim
-        for j in range(dim):
-            acc = None
-            for l in range(dim):
-                term = (1j * k[l]) * (grid.forward(u_phys[l] * u_phys[j]) * mask)
-                acc = term if acc is None else acc + term
-            raw[j] = -acc
-        dot = sum(k[ax] * raw[ax] for ax in range(dim)) * inv_k2
-        for j in range(dim):
-            store["B444"][kk, j] = raw[j] - k[j] * dot
+        project([div_contract([u_phys[l] * u_phys[j] for l in range(dim)])
+                 for j in range(dim)], store["B444"][kk])
         if have_force:
-            raw = [-(grid.forward(n_phys * f_phys[j]) * mask) for j in range(dim)]
-            dot = sum(k[ax] * raw[ax] for ax in range(dim)) * inv_k2
-            for j in range(dim):
-                store["L4"][kk, j] = raw[j] - k[j] * dot
-    store["L3"] = traj.n
+            project([-packed(n_phys * f_phys[j]) for j in range(dim)], store["L4"][kk])
+    store["L3"] = traj.n.reshape(t_count, -1)
     return store
+
+
+def _duhamel_weights(t, rule, gamma, times, k2_shells):
+    """W[j, s]: total weight of stored integrand j at time t on the heat shell
+    |xi|^2 = k2_shells[s], summing over the nodes tau = t z the factor
+    t w (1-z)^a z^b e^{-(gamma + |xi|^2)(t - tau)} times the log-t
+    interpolation weight (clamped below the first stored time).  Rows past
+    the last stored time the nodes reach are all zero and left out."""
+    z = rule.nodes
+    tau = t * z
+    lag = t - tau
+    scale = t * rule.weights * (1.0 - z) ** rule.a * z ** rule.b * np.exp(-gamma * lag)
+    log_times = np.log(times)
+    j = np.clip(np.searchsorted(times, tau, side="right") - 1, 0, len(times) - 2)
+    theta = np.clip((np.log(tau) - log_times[j]) / (log_times[j + 1] - log_times[j]),
+                    0.0, 1.0)
+    interp = np.zeros((len(z), int(j.max()) + 2))
+    nodes = np.arange(len(z))
+    interp[nodes, j] = (1.0 - theta) * scale
+    interp[nodes, j + 1] = theta * scale
+    return interp.T @ np.exp(-np.outer(lag, k2_shells))
 
 
 def picard_map(traj, data, config):
     """One application of the integral map: the free evolution of the data
     plus the seven bilinear and two linear Duhamel terms of the input
     trajectory.  Caloric rows are rebuilt from the data per output time,
-    so no second trajectory is ever held in memory."""
+    so no second trajectory is ever held in memory.  Per output time and
+    rule group, one weight matrix over (stored time, heat shell) carries
+    the whole quadrature, and each tag's stored stack is contracted once.
+    """
     grid = config.grid
     times = config.time_grid.times
     if len(traj) != len(times) or not np.allclose(traj.times, times, rtol=1e-12):
         raise ValueError("trajectory is not defined on the configured time grid")
-    defect = spectral_divergence_defect(traj.state(len(traj) - 1).u)
+    defect = divergence_defects(grid, traj.u).max()
     if defect > 1e-8:
         raise ValueError(f"velocity along the trajectory is not solenoidal "
                          f"(defect {defect:.2e})")
     have_force = config.force is not None and \
         any(np.abs(c.coeffs).any() for c in config.force.f.components)
-    store = _integrand_store(traj, config.force, have_force, dtype=config.integrand_dtype)
+    store = _integrand_store(traj, config.force, have_force)
     rules = config.rules()
     k2 = grid.k2
     zero_idx = (0,) * grid.dim
     dim = grid.dim
-    log_times = np.log(times)
-
-    def locate(tau):
-        if tau <= times[0]:
-            return 0, 0.0
-        if tau >= times[-1]:
-            return len(times) - 2, 1.0
-        j = int(np.searchsorted(times, tau, side="right")) - 1
-        theta = (math.log(tau) - log_times[j]) / (log_times[j + 1] - log_times[j])
-        return j, theta
-
-    def lerp(tag, tau):
-        arr = store[tag]
-        j, theta = locate(tau)
-        if theta == 0.0:
-            return arr[j]
-        if theta == 1.0:
-            return arr[j + 1]
-        return (1.0 - theta) * arr[j] + theta * arr[j + 1]
+    # (shell values, shell of each stored mode, stored modes): the products
+    # are stored on the dealiased modes, L3 on every mode
+    dealiased = np.flatnonzero(grid.dealias_mask)
+    product_shells = np.unique(k2.reshape(-1)[dealiased], return_inverse=True) + (dealiased,)
+    all_shells = np.unique(k2.reshape(-1), return_inverse=True) + (slice(None),)
 
     ks = grid.kshape
     n_new = np.empty((len(times),) + ks, dtype=complex)
@@ -218,30 +222,22 @@ def picard_map(traj, data, config):
         for ax in range(dim):
             u_new[kk, ax] = u0.components[ax].coeffs * decay
     v_new[(slice(None),) + zero_idx] = 0.0
-    target = {"B141": n_new, "B112": n_new, "B113": n_new,
-              "B242": c_new, "B212": c_new,
-              "B343": v_new, "L3": v_new,
-              "B444": u_new, "L4": u_new}
+    n_flat, c_flat, v_flat = (a.reshape(len(times), -1) for a in (n_new, c_new, v_new))
+    u_flat = u_new.reshape(len(times), dim, -1)
+    target = {"B141": n_flat, "B112": n_flat, "B113": n_flat, "B242": c_flat,
+              "B212": c_flat, "B343": v_flat, "L3": v_flat, "B444": u_flat, "L4": u_flat}
 
     for kk, t in enumerate(times):
         for group in _RULE_GROUPS:
             if group[0] == "L4" and not have_force:
                 continue
-            rule = rules[group[0]]
             gamma_eff = config.gamma if group[0] in ("B343", "L3") else 0.0
-            accs = [None] * len(group)
-            for z, w in zip(rule.nodes, rule.weights):
-                tau = t * z
-                s = t - tau
-                mult = np.exp(-s * k2)
-                if gamma_eff:
-                    mult *= math.exp(-gamma_eff * s)
-                scale = t * w * (1.0 - z) ** rule.a * z ** rule.b
-                for gi, tag in enumerate(group):
-                    term = scale * (mult * lerp(tag, tau))
-                    accs[gi] = term if accs[gi] is None else accs[gi] + term
-            for gi, tag in enumerate(group):
-                target[tag][kk] += accs[gi]
+            k2_shells, shell_of, modes = all_shells if group[0] == "L3" else product_shells
+            weights = _duhamel_weights(t, rules[group[0]], gamma_eff, times, k2_shells)
+            per_mode = weights[:, shell_of]
+            for tag in group:
+                target[tag][kk][..., modes] += np.einsum(
+                    "jm,j...m->...m", per_mode, store[tag][:len(per_mode)])
         # the attractant is defined modulo constants: pin its zero mode
         v_new[(kk,) + zero_idx] = 0.0
     return Trajectory(grid, times.copy(), n_new, c_new, v_new, u_new)

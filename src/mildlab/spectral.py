@@ -170,15 +170,20 @@ def divergence(vfield):
     return SpectralField(grid, coeffs)
 
 
+def divergence_defects(grid, u):
+    """max |xi . u_hat| relative to max |u_hat| for every field of a
+    (..., dim, *kshape) coefficient stack; 0 for a zero field."""
+    spatial = tuple(range(-grid.dim, 0))
+    dot = sum(k * comp for k, comp in zip(grid.k, np.moveaxis(u, -grid.dim - 1, 0)))
+    scale = np.sqrt(grid.k2.max()) * np.abs(u).max(axis=(-grid.dim - 1,) + spatial)
+    num = np.abs(dot).max(axis=spatial)
+    return np.divide(num, scale, out=np.zeros_like(num), where=scale > 0)
+
+
 def spectral_divergence_defect(vfield):
     """max |xi . u_hat| relative to max |u_hat|; 0 for the zero field."""
-    grid = vfield.grid
-    dot = sum(grid.k[ax] * vfield.components[ax].coeffs for ax in range(grid.dim))
-    scale = max(np.abs(c.coeffs).max() for c in vfield.components)
-    if scale == 0:
-        return 0.0
-    kmax = np.sqrt(grid.k2.max())
-    return float(np.abs(dot).max() / (kmax * scale))
+    return float(divergence_defects(vfield.grid,
+                                    np.stack([c.coeffs for c in vfield.components])))
 
 
 def leray_project(vfield):

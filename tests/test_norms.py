@@ -271,3 +271,48 @@ def test_smoothing_constant_finite_and_cached():
     assert 0 < c1 < np.inf and c1 == c2
     with pytest.raises(ValueError):
         smoothing_constant(grid, MorreyIndex(4, 3), MorreyIndex(2, 1.5))
+
+
+def test_smoothing_cache_keeps_samplings_apart():
+    import mildlab.norms as norms
+
+    grid = Grid(2, 32, 4.0)
+    src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
+    default = BallSampling.default_for(grid)
+    coarse = BallSampling(2, default.radii[::2] + default.radii[-1:])
+    c_default = smoothing_constant(grid, src, dst, n_fields=2)
+    c_coarse = smoothing_constant(grid, src, dst, n_fields=2, sampling=coarse)
+    norms._SMOOTHING_CACHE.clear()
+    fresh_coarse = smoothing_constant(grid, src, dst, n_fields=2, sampling=coarse)
+    fresh_default = smoothing_constant(grid, src, dst, n_fields=2, sampling=default)
+    assert c_coarse == fresh_coarse and c_default == fresh_default
+    assert c_coarse != c_default
+
+
+def test_smoothing_cache_never_shares_between_grids():
+    import mildlab.norms as norms
+
+    # CPython hands a freed grid's id() to a later grid; allocate 64^2 grids
+    # until one takes the freed 16^2 grid's id (or give up after 64)
+    src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
+    small = Grid(2, 16, 4.0)
+    smoothing_constant(small, src, dst, n_fields=1)
+    freed = id(small)
+    del small
+    later = [Grid(2, 64, 4.0)]
+    while id(later[-1]) != freed and len(later) < 64:
+        later.append(Grid(2, 64, 4.0))
+    cached = smoothing_constant(later[-1], src, dst, n_fields=1)
+    norms._SMOOTHING_CACHE.clear()
+    assert cached == smoothing_constant(later[-1], src, dst, n_fields=1)
+
+
+def test_smoothing_cache_is_bounded(monkeypatch):
+    import mildlab.norms as norms
+
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE_SIZE", 2)
+    grid = Grid(2, 16, 2.0)
+    for seed in range(3):
+        smoothing_constant(grid, MorreyIndex(2, 1.5), MorreyIndex(4, 3), n_fields=1,
+                           seed=seed)
+    assert len(norms._SMOOTHING_CACHE) == 2
