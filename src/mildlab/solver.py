@@ -23,7 +23,6 @@ from .duhamel import (QuadratureRule, rule_exponents, bilinear_constant_bound,
                       linear_constant_bound, ConstantsTable, ForceField, ALL_TAGS)
 from .admissibility import check_admissible
 
-_BILINEAR_TAGS = ("B141", "B112", "B113", "B242", "B212", "B343", "B444")
 _RULE_GROUPS = (("B141",), ("B112", "B113"), ("B242",), ("B212",), ("B343",),
                 ("B444",), ("L3",), ("L4",))
 
