@@ -169,11 +169,13 @@ def _duhamel_weights(t, rule, gamma, times, k2_shells):
     j = np.clip(np.searchsorted(times, tau, side="right") - 1, 0, len(times) - 2)
     theta = np.clip((np.log(tau) - log_times[j]) / (log_times[j + 1] - log_times[j]),
                     0.0, 1.0)
-    interp = np.zeros((len(z), int(j.max()) + 2))
-    nodes = np.arange(len(z))
-    interp[nodes, j] = (1.0 - theta) * scale
-    interp[nodes, j + 1] = theta * scale
-    return interp.T @ np.exp(-np.outer(lag, k2_shells))
+    heat = np.exp(-np.outer(lag, k2_shells))
+    weights = np.zeros((int(j.max()) + 2, len(k2_shells)))
+    # no BLAS product: waking its worker threads made the cost vary run to run
+    for node, row in enumerate(j):
+        weights[row] += ((1.0 - theta[node]) * scale[node]) * heat[node]
+        weights[row + 1] += (theta[node] * scale[node]) * heat[node]
+    return weights
 
 
 def picard_map(traj, data, config):
