@@ -64,6 +64,7 @@ class Grid:
             shp[ax] = -1
             self.x.append(x1.reshape(shp))
         self._ball_cache = {}
+        self._ball_counts = {}
 
     @property
     def size(self):

@@ -126,8 +126,8 @@ def _integrand_store(traj, force, have_force):
     def packed(values):
         return grid.forward(values).reshape(-1)[keep]
 
-    def div_contract(phys_list):
-        return -sum((1j * k[ax]) * packed(vals) for ax, vals in enumerate(phys_list))
+    def div_contract(spectra):
+        return -sum((1j * k[ax]) * spec for ax, spec in enumerate(spectra))
 
     def project(raw, out):
         dot = sum(k[ax] * raw[ax] for ax in range(dim)) * inv_k2
@@ -140,14 +140,16 @@ def _integrand_store(traj, force, have_force):
         u_phys = [grid.backward(traj.u[kk, ax]) for ax in range(dim)]
         grad_c = [grid.backward((1j * grid.k[ax]) * traj.c[kk]) for ax in range(dim)]
         grad_v = [grid.backward((1j * grid.k[ax]) * traj.v[kk]) for ax in range(dim)]
-        store["B141"][kk] = div_contract([up * n_phys for up in u_phys])
-        store["B112"][kk] = div_contract([n_phys * g for g in grad_c])
-        store["B113"][kk] = div_contract([n_phys * g for g in grad_v])
-        store["B242"][kk] = div_contract([up * c_phys for up in u_phys])
+        store["B141"][kk] = div_contract(packed(up * n_phys) for up in u_phys)
+        store["B112"][kk] = div_contract(packed(n_phys * g) for g in grad_c)
+        store["B113"][kk] = div_contract(packed(n_phys * g) for g in grad_v)
+        store["B242"][kk] = div_contract(packed(up * c_phys) for up in u_phys)
         store["B212"][kk] = -packed(n_phys * c_phys)
         store["B343"][kk] = -packed(sum(a * b for a, b in zip(u_phys, grad_v)))
-        # projected divergence of the velocity self-advection tensor
-        project([div_contract([u_phys[l] * u_phys[j] for l in range(dim)])
+        # projected divergence of the velocity self-advection tensor, whose
+        # dim (dim + 1) / 2 distinct products are each transformed once
+        uu = {(l, j): packed(u_phys[l] * u_phys[j]) for l in range(dim) for j in range(l, dim)}
+        project([div_contract(uu[min(l, j), max(l, j)] for l in range(dim))
                  for j in range(dim)], store["B444"][kk])
         if have_force:
             project([-packed(n_phys * f_phys[j]) for j in range(dim)], store["L4"][kk])
@@ -261,8 +263,9 @@ def picard_solve(data, config, constants=None):
     trace.x_norms.append(norm_x)
     for m in range(config.max_iters):
         x_next = picard_map(x, data, config)
-        diff = x_next - x
-        d_m = _trace_norm(diff, config)
+        # the difference is not kept: held, it would stay alive through the
+        # next map and its integrand store
+        d_m = _trace_norm(x_next - x, config)
         norm_next = _trace_norm(x_next, config)
         trace.diffs.append(d_m)
         trace.x_norms.append(norm_next)

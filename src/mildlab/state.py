@@ -136,6 +136,9 @@ class Trajectory:
                           self.v.copy(), self.u.copy())
 
     def __sub__(self, other):
+        if not self.grid.compatible(other.grid):
+            raise ValueError(f"trajectories live on different grids: "
+                             f"{self.grid!r} and {other.grid!r}")
         if not np.array_equal(self.times, other.times):
             raise ValueError("trajectories live on different time grids")
         return Trajectory(self.grid, self.times, self.n - other.n, self.c - other.c,

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mildlab.norms as norms
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, gradient, heat_apply, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
@@ -44,6 +46,26 @@ def brute_force_morrey(values, grid, p, p1):
         if keep.any():
             best = max(best, (radii[keep] ** weight_exp * sums[keep] ** (1.0 / p1)).max())
     return best
+
+
+def all_radii_morrey(field, idx, sampling=None):
+    """The Morrey max with one convolution per sampled radius and no
+    pruning: what morrey_norm must reproduce bit for bit."""
+    grid = field.grid
+    if sampling is None:
+        sampling = BallSampling.default_for(grid)
+    vals = np.abs(field.to_physical())
+    if not vals.any():
+        return 0.0
+    spec = grid.forward(vals ** idx.p1)
+    stride = (slice(None, None, sampling.center_stride),) * grid.dim
+    exponent = grid.dim * (1.0 / idx.p - 1.0 / idx.p1)
+    best = 0.0
+    for radius in sampling.radii:
+        conv = grid.backward(spec * norms._ball_spectrum(grid, radius))
+        local_mass = max(conv[stride].max(), 0.0) * grid.cell_volume
+        best = max(best, radius ** exponent * local_mass ** (1.0 / idx.p1))
+    return float(best)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +112,78 @@ def test_random_fields_match_brute_force(m, idx):
         oracle = brute_force_morrey(vals, grid, p, p1)
         got = morrey_norm(f, MorreyIndex(p, p1))
         assert abs(got - oracle) / oracle < 0.02
+
+
+def _pruning_cases():
+    g2 = Grid(2, 16, 2.0)
+    g3 = Grid(3, 16, 2.0)
+    h = g2.spacing
+    flat = SpectralField.from_physical(g2, np.full(g2.shape, 0.8))
+    return {
+        "narrow bump": (bump(g2, 0.3), MorreyIndex(3, 2), None),
+        "flat": (flat, MorreyIndex(3, 2), None),
+        "p equals p1": (random_band_limited(g2, seed=4), MorreyIndex(2.5, 2.5), None),
+        "center stride 2": (random_band_limited(g2, seed=5), MorreyIndex(4, 1.5),
+                            BallSampling(2, BallSampling.default_for(g2).radii)),
+        "one radius": (random_band_limited(g2, seed=6), MorreyIndex(3, 2),
+                       BallSampling(1, [3 * h])),
+        "dyadic radii": (gaussian(g2, a=0.1), MorreyIndex(3, 1.5),
+                         BallSampling(1, [h, 2 * h, 4 * h, 8 * h])),
+        "3d": (random_band_limited(g3, seed=7, corr_cells=2.0), MorreyIndex(4, 8 / 3), None),
+        "3d bump": (bump(g3, 0.3), MorreyIndex(3, 2), None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pruning_cases()))
+def test_pruned_morrey_equals_all_radii_loop(case):
+    field, idx, sampling = _pruning_cases()[case]
+    assert morrey_norm(field, idx, sampling) == all_radii_morrey(field, idx, sampling)
+
+
+def test_narrow_bump_won_by_smallest_radius(grid16):
+    f = bump(grid16, 0.3)
+    idx = MorreyIndex(3, 2)
+    smallest = BallSampling(1, BallSampling.default_for(grid16).radii[:1])
+    assert morrey_norm(f, idx) == morrey_norm(f, idx, smallest) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), corr_cells=st.floats(1.0, 6.0),
+       sharpen=st.integers(1, 4), p1=st.floats(1.0, 4.0), ratio=st.floats(1.0, 3.0),
+       stride=st.integers(1, 3))
+def test_pruned_morrey_equals_all_radii_loop_on_random_fields(seed, corr_cells, sharpen, p1,
+                                                              ratio, stride):
+    grid = Grid(2, 16, 2.0)
+    # odd powers of a band-limited field concentrate it without losing its sign
+    f = SpectralField.from_physical(
+        grid, random_band_limited(grid, seed=seed, corr_cells=corr_cells).to_physical() ** sharpen)
+    idx = MorreyIndex(p1 * ratio, p1)
+    sampling = BallSampling(stride, BallSampling.default_for(grid).radii)
+    assert morrey_norm(f, idx, sampling) == all_radii_morrey(f, idx, sampling)
+
+
+def test_concentrated_field_skips_ball_convolutions(grid16, monkeypatch):
+    f = gaussian(grid16, a=0.05)
+    idx = MorreyIndex(3, 2)
+    expected = all_radii_morrey(f, idx)
+    real = norms._ball_spectrum
+    convolved = []
+
+    def counted(grid, radius):
+        convolved.append(radius)
+        return real(grid, radius)
+
+    monkeypatch.setattr(norms, "_ball_spectrum", counted)
+    assert morrey_norm(f, idx) == expected
+    assert 0 < len(convolved) < len(BallSampling.default_for(grid16).radii)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_field_has_nan_norm(grid16, bad):
+    vals = random_band_limited(grid16, seed=3).to_physical()
+    vals[3, 5] = bad
+    field = SpectralField.from_physical(grid16, vals)
+    assert math.isnan(morrey_norm(field, MorreyIndex(3, 2)))
 
 
 def test_homogeneity_and_triangle(grid16):
@@ -210,6 +304,14 @@ def test_x_norms_single_snapshot_unit_time(grid16):
     assert np.isclose(rec.c_norm,
                       np.abs(c.to_physical()).max()
                       + morrey_norm(gradient(c), MorreyIndex(exps.r, exps.r1)))
+
+
+def test_x_norms_nan_state_gives_nan_total(grid16):
+    states = [StateTuple.zero(grid16, t=t) for t in (0.5, 1.0, 2.0)]
+    n = random_band_limited(grid16, seed=8).to_physical()
+    n[2, 7] = math.nan
+    states[1].n = SpectralField.from_physical(grid16, n)
+    assert math.isnan(x_space_norms(states, _exps_2d()).total)
 
 
 def test_x_norms_requires_increasing_times(grid16):

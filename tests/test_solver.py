@@ -208,6 +208,28 @@ def test_picard_solve_zero_data_converges_in_one(small_grid, small_config):
     assert np.abs(traj.n).max() == 0.0
 
 
+def test_picard_solve_nan_iterate_diverges(small_grid, small_config, monkeypatch):
+    import mildlab.solver as solver
+
+    def nan_map(traj, data, config):
+        # a fixed point everywhere but one stored cell density, which blew up
+        out = traj.copy()
+        out.n[-1][(0,) * traj.grid.dim] = math.nan
+        return out
+
+    monkeypatch.setattr(solver, "picard_map", nan_map)
+    _, trace = picard_solve(gaussian_data(small_grid, amplitude=0.01), small_config)
+    assert trace.diverged and not trace.converged
+    assert math.isnan(trace.diffs[-1])
+
+
+def test_trajectory_difference_rejects_another_grid(small_grid, small_config):
+    times = small_config.time_grid.times
+    other = Grid(2, small_grid.m, 2 * small_grid.box_half_width)
+    with pytest.raises(ValueError, match=r"L=10.0.*L=20.0"):
+        Trajectory.zero(small_grid, times) - Trajectory.zero(other, times)
+
+
 def test_picard_solve_small_data_contracts(small_solve_2d):
     trace = small_solve_2d["trace"]
     assert trace.converged and not trace.diverged
