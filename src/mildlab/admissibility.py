@@ -167,9 +167,7 @@ def check_admissible(exps):
 
 
 def _outer_case_ok(N, p, q, r):
-    probe = ExponentSet(N, 0.0, p, q, r, p, q, r, N)
-    failures = []
-    return _case_tag(N, p, q, r, failures) != ""
+    return _case_tag(N, p, q, r, []) != ""
 
 
 def suggest_subindices(N, gamma, p, q, r):

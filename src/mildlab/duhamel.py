@@ -1,11 +1,12 @@
-"""Singular-kernel time quadrature and the nine integral operators of the
+"""Singular-kernel quadrature rules and the operator constants of the
 fixed-point map.
 
-Every operator is evaluated by the substitution tau = t z, which turns
-the endpoint-singular integrals into beta-function integrals on (0, 1);
-Gauss-Jacobi rules carrying the weight (1-z)^(-a) z^(-b) reproduce those
-exactly on constants, which is the identity behind the operator-norm
-constants C1..C7, alpha, beta.
+Each of the nine Duhamel terms is integrated over tau = t z against the
+weight (1-z)^(-a) z^(-b) on (0, 1), where (a, b) = (1 - x, 1 - y) for the
+beta-function arguments (x, y) of the constant that bounds the term.
+Gauss-Jacobi rules for that weight reproduce b(x, y) exactly on
+constants, which is the identity behind the constants C1..C7, alpha,
+beta.  The terms themselves are evaluated by ``solver.picard_map``.
 """
 
 import math
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as special
 
-from .admissibility import beta_arguments, check_admissible
+from .admissibility import beta_arguments
 from .norms import MorreyIndex, morrey_norm
-from .spectral import SpectralField, VectorField, dealias, leray_project, \
-    spectral_divergence_defect
 
 
 def beta_function(x, y):
@@ -47,44 +46,23 @@ class QuadratureRule:
         self.nodes = 0.5 * (x + 1.0)
         self.weights = 2.0 ** (self.a + self.b - 1.0) * w
 
-    def refined(self, factor=2):
-        return QuadratureRule(self.a, self.b, factor * self.node_count)
-
-    def weight_integral(self):
-        """Exact integral of the weight alone: b(1-a, 1-b)."""
-        return beta_function(1.0 - self.a, 1.0 - self.b)
-
     def __repr__(self):
         return f"QuadratureRule(a={self.a:g}, b={self.b:g}, nodes={self.node_count})"
 
 
-#: endpoint exponents (a, b) of each operator's singular time integral
+#: the operator constant whose beta factor bounds each Duhamel term
+TAG_CONSTANTS = {"B141": "C1", "B112": "C2", "B113": "C3", "B242": "C4_1", "B212": "C5_1",
+                 "B343": "C6", "B444": "C7", "L3": "alpha", "L4": "beta"}
+ALL_TAGS = tuple(TAG_CONSTANTS)
+
+
 def rule_exponents(tag, exps):
-    N, p, q, r = exps.N, exps.p, exps.q, exps.r
-    np2, nq2, nr2 = N / (2.0 * p), N / (2.0 * q), N / (2.0 * r)
-    table = {
-        "B141": (0.5 + np2, 1.5 - np2 - nq2),
-        "B112": (0.5 + nr2, 1.5 - nq2 - nr2),
-        "B113": (0.5 + nr2, 1.5 - nq2 - nr2),
-        "B242": (0.5 + np2, 0.5 - np2),
-        "B212": (nq2, 1.0 - nq2),
-        "B343": (0.5 + np2, 1.0 - np2 - nr2),
-        "B444": (0.5 + np2, 1.0 - N / p),
-        "L3": (0.5 + nq2 - nr2, 1.0 - nq2),
-        "L4": (0.5 + nq2 - np2, 1.0 - nq2),
-    }
-    if tag not in table:
+    """Endpoint exponents (a, b) of one term's singular time integral:
+    (1 - x, 1 - y) for the beta arguments (x, y) of its constant."""
+    if tag not in TAG_CONSTANTS:
         raise ValueError(f"unknown operator tag {tag!r}")
-    return table[tag]
-
-
-ALL_TAGS = ("B141", "B112", "B113", "B242", "B212", "B343", "B444", "L3", "L4")
-
-
-def default_rules(exps, node_count=32):
-    """One matched rule per operator tag."""
-    return {tag: QuadratureRule(*rule_exponents(tag, exps), node_count=node_count)
-            for tag in ALL_TAGS}
+    x, y = beta_arguments(exps)[TAG_CONSTANTS[tag]]
+    return 1.0 - x, 1.0 - y
 
 
 _BILINEAR_COMPONENTS = ("C1", "C2", "C3", "C4_1", "C4_2", "C5_1", "C5_2", "C6", "C7")
@@ -109,8 +87,8 @@ def bilinear_constant_bound(which, exps):
 def linear_constant_bound(which, exps, force=None):
     """Beta factor of the linear maps: 'L3' (alpha) is force-free, 'L4'
     (beta) is proportional to the force's Morrey norm."""
-    key = {"L3": "alpha", "L4": "beta", "alpha": "alpha", "beta": "beta"}.get(which)
-    if key is None:
+    key = TAG_CONSTANTS.get(which, which)
+    if key not in ("alpha", "beta"):
         raise ValueError(f"unknown linear tag {which!r}")
     x, y = beta_arguments(exps)[key]
     if x <= 0 or y <= 0:
@@ -202,151 +180,3 @@ class ConstantsTable:
             "epsilon": self.epsilon, "delta": self.delta,
             "data_norm_I": self.data_norm, "small_enough": self.small_enough,
         }
-
-
-def duhamel_integral(kernel, integrand_at, t, rule):
-    """Quadrature for  integral_0^t K(t - tau) F(tau) dtau  via tau = t z.
-
-    ``kernel`` maps the lag s to a multiplier (scalar, or an array acting
-    on spectral coefficients); ``integrand_at`` returns the integrand at
-    one time (scalar or spectral coefficient array).  The Jacobi weight
-    absorbs the endpoint powers, so smooth remainders converge fast.
-    """
-    if t <= 0:
-        raise ValueError(f"need t > 0, got {t}")
-    acc = None
-    for z, w in zip(rule.nodes, rule.weights):
-        tau = t * z
-        s = t - tau
-        value = kernel(s) * integrand_at(tau)
-        scale = t * w * (1.0 - z) ** rule.a * z ** rule.b
-        term = scale * value
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _heat_multiplier(grid, gamma=0.0):
-    k2 = grid.k2
-    if gamma == 0.0:
-        return lambda s: np.exp(-s * k2)
-    return lambda s: math.exp(-gamma * s) * np.exp(-s * k2)
-
-
-def _require_solenoidal(u, tag, tol=1e-8):
-    defect = spectral_divergence_defect(u)
-    if defect > tol:
-        raise ValueError(f"{tag} moves the derivative onto the product and needs "
-                         f"solenoidal u; divergence defect {defect:.2e}")
-
-
-def _div_contract(grid, phys_components):
-    """-i xi . rfft(components), dealiased: the operator -div e^{s Lap}
-    applied before the heat factor."""
-    acc = None
-    for ax, vals in enumerate(phys_components):
-        spec = grid.forward(vals) * grid.dealias_mask
-        term = (1j * grid.k[ax]) * spec
-        acc = term if acc is None else acc + term
-    return -acc
-
-
-def integrand_spectrum(tag, state, force=None):
-    """Contracted spectral integrand of one operator at one state: the
-    sign and every lag-independent factor (derivative contraction, the
-    solenoidal projection) are already applied, so the remaining kernel
-    is the plain (possibly damped) heat multiplier."""
-    grid = state.grid
-    if tag == "B141":
-        _require_solenoidal(state.u, tag)
-        n_phys = state.n.to_physical()
-        return _div_contract(grid, [c.to_physical() * n_phys for c in state.u.components])
-    if tag in ("B112", "B113"):
-        source = state.c if tag == "B112" else state.v
-        n_phys = state.n.to_physical()
-        grads = [grid.backward((1j * grid.k[ax]) * source.coeffs) for ax in range(grid.dim)]
-        return _div_contract(grid, [n_phys * g for g in grads])
-    if tag == "B242":
-        _require_solenoidal(state.u, tag)
-        c_phys = state.c.to_physical()
-        return _div_contract(grid, [c.to_physical() * c_phys for c in state.u.components])
-    if tag == "B212":
-        prod = state.n.to_physical() * state.c.to_physical()
-        return -(grid.forward(prod) * grid.dealias_mask)
-    if tag == "B343":
-        u_phys = state.u.to_physical()
-        grads = [grid.backward((1j * grid.k[ax]) * state.v.coeffs) for ax in range(grid.dim)]
-        dot = sum(a * b for a, b in zip(u_phys, grads))
-        return -(grid.forward(dot) * grid.dealias_mask)
-    if tag == "B444":
-        u_phys = state.u.to_physical()
-        contracted = []
-        for j in range(grid.dim):
-            acc = None
-            for l in range(grid.dim):
-                spec = grid.forward(u_phys[l] * u_phys[j]) * grid.dealias_mask
-                term = (1j * grid.k[l]) * spec
-                acc = term if acc is None else acc + term
-            contracted.append(-acc)
-        projected = leray_project(VectorField([SpectralField(grid, c) for c in contracted]))
-        return np.stack([c.coeffs for c in projected.components])
-    if tag == "L3":
-        return state.n.coeffs.copy()
-    if tag == "L4":
-        if force is None:
-            raise ValueError("L4 requires the force field")
-        n_phys = state.n.to_physical()
-        f_phys = force.f.to_physical()
-        comps = [-(grid.forward(n_phys * fj) * grid.dealias_mask) for fj in f_phys]
-        projected = leray_project(VectorField([SpectralField(grid, c) for c in comps]))
-        return np.stack([c.coeffs for c in projected.components])
-    raise ValueError(f"unknown operator tag {tag!r}")
-
-
-def _wrap_result(grid, array):
-    if array.ndim == grid.dim:
-        return SpectralField(grid, array)
-    return VectorField([SpectralField(grid, array[ax]) for ax in range(grid.dim)])
-
-
-def bilinear_B(tag, state_at, t, exps, rule=None, node_count=32):
-    """One signed bilinear Duhamel term at time t, from a state closure."""
-    if tag not in ("B141", "B112", "B113", "B242", "B212", "B343", "B444"):
-        raise ValueError(f"unknown bilinear tag {tag!r}")
-    if rule is None:
-        rule = QuadratureRule(*rule_exponents(tag, exps), node_count=node_count)
-    probe = state_at(t * rule.nodes[len(rule.nodes) // 2])
-    grid = probe.grid
-    gamma = exps.gamma if tag == "B343" else 0.0
-    kernel = _heat_multiplier(grid, gamma)
-    result = duhamel_integral(kernel, lambda tau: integrand_spectrum(tag, state_at(tau)),
-                              t, rule)
-    return _wrap_result(grid, result)
-
-
-def linear_L(tag, n_at, t, gamma, force, exps, rule=None, node_count=32):
-    """The linear Duhamel terms: attractant production from n (L3, damped)
-    and the fluid forcing by -n f (L4, projected)."""
-    if tag not in ("L3", "L4"):
-        raise ValueError(f"unknown linear tag {tag!r}")
-    if rule is None:
-        rule = QuadratureRule(*rule_exponents(tag, exps), node_count=node_count)
-    probe = n_at(t * rule.nodes[len(rule.nodes) // 2])
-    grid = probe.grid
-
-    if tag == "L3":
-        kernel = _heat_multiplier(grid, gamma)
-        arr = duhamel_integral(kernel, lambda tau: n_at(tau).coeffs, t, rule)
-        return SpectralField(grid, arr)
-    if force is None:
-        raise ValueError("L4 requires the force field")
-    kernel = _heat_multiplier(grid, 0.0)
-    f_phys = force.f.to_physical()
-
-    def integrand(tau):
-        n_phys = n_at(tau).to_physical()
-        comps = [-(grid.forward(n_phys * fj) * grid.dealias_mask) for fj in f_phys]
-        projected = leray_project(VectorField([SpectralField(grid, c) for c in comps]))
-        return np.stack([c.coeffs for c in projected.components])
-
-    arr = duhamel_integral(kernel, integrand, t, rule)
-    return VectorField([SpectralField(grid, arr[ax]) for ax in range(grid.dim)])

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .grids import Grid
 from .spectral import SpectralField, VectorField, heat_apply, leray_project
 
 
@@ -211,43 +210,3 @@ def random_band_limited(grid, seed, corr_cells=4.0, amplitude=1.0, zero_mean=Tru
     if peak > 0:
         out = out * (amplitude / peak)
     return out
-
-
-def spectral_upsample(field, fine_grid):
-    """Exact trigonometric interpolation onto a finer grid of the same box.
-
-    Zero-pads the half-spectrum; the coarse Nyquist planes are dropped,
-    so the input should be band-limited below them (true for the filtered
-    random fields used in refinement studies).
-    """
-    coarse = field.grid
-    if fine_grid.dim != coarse.dim or fine_grid.box_half_width != coarse.box_half_width:
-        raise ValueError("refinement must keep dimension and box size")
-    if fine_grid.m < coarse.m:
-        raise ValueError("target grid is coarser than the source")
-    if fine_grid.m == coarse.m:
-        return SpectralField(fine_grid, field.coeffs.copy(), pinned=field.pinned)
-    mc, mf = coarse.m, fine_grid.m
-    out = np.zeros(fine_grid.kshape, dtype=complex)
-    half = mc // 2
-    # full-length axes: keep rows [0, half) and the top (half-1) negatives
-    src = [np.r_[0:half, mc - half + 1:mc] for _ in range(coarse.dim - 1)]
-    dst = [np.r_[0:half, mf - half + 1:mf] for _ in range(coarse.dim - 1)]
-    src.append(np.arange(0, half))          # rfft axis, Nyquist column dropped
-    dst.append(np.arange(0, half))
-    out[np.ix_(*dst)] = field.coeffs[np.ix_(*src)]
-    out *= (mf / mc) ** coarse.dim
-    return SpectralField(fine_grid, out, pinned=field.pinned)
-
-
-def shared_random_field(dim, box_half_width, coarse_m, grid, seed, corr_cells=4.0,
-                        amplitude=1.0, zero_mean=True):
-    """Random field defined on a coarse lattice, evaluated on ``grid``.
-
-    The draw happens on the coarse grid and is spectrally upsampled, so
-    refinements of the same box see the identical continuum function.
-    """
-    base = Grid(dim, coarse_m, box_half_width)
-    f = random_band_limited(base, seed, corr_cells=corr_cells, amplitude=amplitude,
-                            zero_mean=zero_mean)
-    return spectral_upsample(f, grid)

@@ -167,17 +167,20 @@ def morrey_norm(field, idx, sampling=None):
     return float(best)
 
 
-def besov_morrey_norm_heat(field, idx, s, time_grid=None):
+def _sup(terms):
+    """max of non-negative terms, 0 for none and NaN if any term is NaN
+    (the builtin max would drop a NaN that is not its first argument)."""
+    return float(np.max(list(terms), initial=0.0))
+
+
+def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
     """Heat characterization sup_t t^(-s/2) ||e^{t Lap} u||_{M^p_p1}, s < 0."""
     if s >= 0:
         raise ValueError(f"the heat characterization needs s < 0, got s = {s}")
-    grid = field.grid
     if time_grid is None:
-        time_grid = TimeGrid.default_for(grid)
-    best = 0.0
-    for t in time_grid.times:
-        best = max(best, t ** (-s / 2.0) * morrey_norm(heat_apply(field, t), idx))
-    return float(best)
+        time_grid = TimeGrid.default_for(field.grid)
+    return _sup(t ** (-s / 2.0) * morrey_norm(heat_apply(field, t), idx, sampling)
+                for t in time_grid.times)
 
 
 class LittlewoodPaleyBank:
@@ -235,27 +238,9 @@ def besov_morrey_norm_lp(field, idx, s, bank=None):
     grid = field.grid
     if bank is None:
         bank = LittlewoodPaleyBank(grid)
-    best = 0.0
-    for j in bank.blocks():
-        blocked = bank.apply_block(field, j)
-        if not np.abs(blocked.coeffs).any():
-            continue
-        best = max(best, 2.0 ** (s * j) * morrey_norm(blocked, idx))
-    return float(best)
-
-
-class XNormWeights:
-    """Time-weight exponents of the four solution spaces."""
-
-    __slots__ = ("l_q", "mu_r", "mu_p")
-
-    def __init__(self, exps):
-        self.l_q = 1.0 - exps.N / (2.0 * exps.q)
-        self.mu_r = 0.5 - exps.N / (2.0 * exps.r)
-        self.mu_p = 0.5 - exps.N / (2.0 * exps.p)
-
-    def all_positive(self):
-        return self.l_q > 0 and self.mu_r > 0 and self.mu_p > 0
+    blocks = ((j, bank.apply_block(field, j)) for j in bank.blocks())
+    return _sup(2.0 ** (s * j) * morrey_norm(blocked, idx)
+                for j, blocked in blocks if np.abs(blocked.coeffs).any())
 
 
 class XNormsRecord:
@@ -293,18 +278,17 @@ def x_space_norms(trajectory, exps, sampling=None):
         raise ValueError("trajectory times must be positive and strictly increasing")
     from .spectral import gradient
 
-    w = XNormWeights(exps)
     idx_q = MorreyIndex(exps.q, exps.q1)
     idx_r = MorreyIndex(exps.r, exps.r1)
     idx_p = MorreyIndex(exps.p, exps.p1)
     n_s, csup_s, cgrad_s, v_s, u_s = [], [], [], [], []
     for st in states:
         t = st.t
-        n_s.append(t ** w.l_q * morrey_norm(st.n, idx_q, sampling))
+        n_s.append(t ** exps.l_q * morrey_norm(st.n, idx_q, sampling))
         csup_s.append(float(np.abs(st.c.to_physical()).max()))
-        cgrad_s.append(t ** w.mu_r * morrey_norm(gradient(st.c), idx_r, sampling))
-        v_s.append(t ** w.mu_r * morrey_norm(gradient(st.v), idx_r, sampling))
-        u_s.append(t ** w.mu_p * morrey_norm(st.u, idx_p, sampling))
+        cgrad_s.append(t ** exps.mu_r * morrey_norm(gradient(st.c), idx_r, sampling))
+        v_s.append(t ** exps.mu_r * morrey_norm(gradient(st.v), idx_r, sampling))
+        u_s.append(t ** exps.mu_p * morrey_norm(st.u, idx_p, sampling))
     return XNormsRecord(times, n_s, csup_s, cgrad_s, v_s, u_s)
 
 
@@ -312,7 +296,6 @@ def data_norm_I(data, exps, time_grid=None, sampling=None):
     """Norm of the initial 4-tuple: Besov-Morrey pieces by the heat
     characterization plus the sup norm of the oxygen component."""
     from .admissibility import check_admissible
-    from .spectral import gradient
 
     report = check_admissible(exps)
     if not report.admissible:
@@ -326,30 +309,20 @@ def data_norm_components(data, exps, time_grid=None, sampling=None):
     """The five summands of the initial-data norm, by name."""
     from .spectral import gradient
 
-    grid = data.grid
-    if time_grid is None:
-        time_grid = TimeGrid.default_for(grid)
+    reg = exps.regularity_indices()
     idx_q = MorreyIndex(exps.q, exps.q1)
     idx_r = MorreyIndex(exps.r, exps.r1)
     idx_p = MorreyIndex(exps.p, exps.p1)
-    N = exps.N
-    s_n = N / exps.q - 2.0
-    s_c = N / exps.r - 1.0
-    s_u = N / exps.p - 1.0
 
-    def heat_sup(field_or_vec, idx, s):
-        best = 0.0
-        for t in time_grid.times:
-            evolved = heat_apply(field_or_vec, t)
-            best = max(best, t ** (-s / 2.0) * morrey_norm(evolved, idx, sampling))
-        return best
+    def heat_sup(field, idx, name):
+        return besov_morrey_norm_heat(field, idx, reg[name], time_grid, sampling)
 
     return {
-        "n0": heat_sup(data.n, idx_q, s_n),
+        "n0": heat_sup(data.n, idx_q, "n0"),
         "c0_sup": float(np.abs(data.c.to_physical()).max()),
-        "grad_c0": heat_sup(gradient(data.c), idx_r, s_c),
-        "grad_v0": heat_sup(gradient(data.v), idx_r, s_c),
-        "u0": heat_sup(data.u, idx_p, s_u),
+        "grad_c0": heat_sup(gradient(data.c), idx_r, "grad_c0"),
+        "grad_v0": heat_sup(gradient(data.v), idx_r, "grad_v0"),
+        "u0": heat_sup(data.u, idx_p, "u0"),
     }
 
 

@@ -9,8 +9,6 @@ that need them.
 
 import numpy as np
 
-from .grids import Grid
-
 
 class SpectralField:
     """One real scalar component on a periodic grid.
@@ -226,18 +224,3 @@ def rescale_field(field, lam, degree):
     gathered = vals[np.ix_(*([idx] * grid.dim))]
     out = SpectralField.from_physical(grid, (lam ** degree) * gathered, pinned=field.pinned)
     return out
-
-
-def multiply(f, g):
-    """Pointwise product of two scalar fields, dealiased."""
-    prod = f.to_physical() * g.to_physical()
-    return dealias(SpectralField.from_physical(f.grid, prod))
-
-
-def relative_difference(a, b):
-    """max |a - b| / max |b| on coefficients (0 when both vanish)."""
-    num = np.abs(a.coeffs - b.coeffs).max()
-    den = np.abs(b.coeffs).max()
-    if den == 0:
-        return 0.0 if num == 0 else np.inf
-    return float(num / den)

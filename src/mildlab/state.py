@@ -50,9 +50,7 @@ class Trajectory:
     """States stored at every point of a geometric time grid.
 
     Coefficients are stacked per component for vectorized access:
-    scalars as (T, *kshape), velocity as (T, dim, *kshape).  Between
-    stored times the trajectory is interpolated linearly in log t on
-    the spectral coefficients; outside the span it is clamped.
+    scalars as (T, *kshape), velocity as (T, dim, *kshape).
     """
 
     def __init__(self, grid, times, n, c, v, u):
@@ -64,7 +62,6 @@ class Trajectory:
         self.c = c
         self.v = v
         self.u = u
-        self._log_times = np.log(self.times)
 
     @classmethod
     def from_states(cls, states):
@@ -101,35 +98,6 @@ class Trajectory:
 
     def states(self):
         return [self.state(k) for k in range(len(self))]
-
-    def locate(self, t):
-        """Interval index and log-space weight, clamped to the stored span."""
-        if t <= self.times[0]:
-            return 0, 0.0
-        if t >= self.times[-1]:
-            return len(self.times) - 2, 1.0
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        theta = (np.log(t) - self._log_times[j]) / (self._log_times[j + 1] - self._log_times[j])
-        return j, float(theta)
-
-    def component_at(self, name, t):
-        """Log-lerp of one stacked component array at time t."""
-        arr = getattr(self, name)
-        j, theta = self.locate(t)
-        if theta == 0.0:
-            return arr[j]
-        if theta == 1.0:
-            return arr[j + 1]
-        return (1.0 - theta) * arr[j] + theta * arr[j + 1]
-
-    def state_at(self, t):
-        g = self.grid
-        return StateTuple(t,
-                          SpectralField(g, self.component_at("n", t)),
-                          SpectralField(g, self.component_at("c", t)),
-                          SpectralField(g, self.component_at("v", t), pinned=True),
-                          VectorField([SpectralField(g, self.component_at("u", t)[ax])
-                                       for ax in range(g.dim)]))
 
     def copy(self):
         return Trajectory(self.grid, self.times.copy(), self.n.copy(), self.c.copy(),

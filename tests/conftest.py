@@ -1,10 +1,13 @@
-"""Shared desk-scale scenarios for the solver and experiment tests."""
+"""Shared desk-scale scenarios for the solver and experiment tests, and the
+test-local per-state integrand oracle with its per-node quadrature."""
+
+import math
 
 import numpy as np
 import pytest
 
 from mildlab.grids import Grid, TimeGrid
-from mildlab.spectral import SpectralField, VectorField
+from mildlab.spectral import SpectralField, VectorField, leray_project
 from mildlab.fields import gaussian, solenoidal_gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple
 from mildlab.admissibility import ExponentSet
@@ -32,6 +35,63 @@ def gaussian_data(grid, amplitude=1.0):
         + solenoidal_gaussian(grid, a=1.3, amplitude=0.6 * amplitude,
                               center=(0.9, 0.7) + (0.0,) * (grid.dim - 2))
     return StateTuple(0.0, n0, c0, v0, u0)
+
+
+def _div_contract(grid, phys_components):
+    """-i xi . rfft(components), dealiased: the operator -div e^{s Lap}
+    applied before the heat factor."""
+    return -sum((1j * grid.k[ax]) * (grid.forward(vals) * grid.dealias_mask)
+                for ax, vals in enumerate(phys_components))
+
+
+def _projected(grid, spectra):
+    projected = leray_project(VectorField([SpectralField(grid, c) for c in spectra]))
+    return np.stack([c.coeffs for c in projected.components])
+
+
+def integrand_spectrum(tag, state, force=None):
+    """Test-local oracle: the contracted spectral integrand of one Duhamel
+    term at one state, on every mode, written per state and per tag
+    independently of the solver's stacked store.  The sign and every
+    lag-independent factor (derivative contraction, solenoidal projection)
+    are applied, so the remaining kernel is the (damped) heat multiplier."""
+    grid = state.grid
+    n_phys = state.n.to_physical()
+    u_phys = state.u.to_physical()
+    grad = lambda f: [grid.backward((1j * grid.k[ax]) * f.coeffs) for ax in range(grid.dim)]
+    if tag == "B141":
+        return _div_contract(grid, [c * n_phys for c in u_phys])
+    if tag in ("B112", "B113"):
+        source = state.c if tag == "B112" else state.v
+        return _div_contract(grid, [n_phys * g for g in grad(source)])
+    if tag == "B242":
+        return _div_contract(grid, [c * state.c.to_physical() for c in u_phys])
+    if tag == "B212":
+        return -(grid.forward(n_phys * state.c.to_physical()) * grid.dealias_mask)
+    if tag == "B343":
+        dot = sum(a * b for a, b in zip(u_phys, grad(state.v)))
+        return -(grid.forward(dot) * grid.dealias_mask)
+    if tag == "B444":
+        return _projected(grid, [_div_contract(grid, [u_l * u_j for u_l in u_phys])
+                                 for u_j in u_phys])
+    if tag == "L3":
+        return state.n.coeffs.copy()
+    if tag == "L4":
+        f_phys = force.f.to_physical()
+        return _projected(grid, [-(grid.forward(n_phys * fj) * grid.dealias_mask)
+                                 for fj in f_phys])
+    raise ValueError(f"unknown operator tag {tag!r}")
+
+
+def node_quadrature(grid, rule, t, integrand_at, gamma=0.0):
+    """Per-node Duhamel quadrature at time t: the sum over the nodes
+    tau = t z of t w (1-z)^a z^b e^{-(gamma + |xi|^2)(t - tau)} F(tau)."""
+    acc = 0.0
+    for z, w in zip(rule.nodes, rule.weights):
+        s = t - t * z
+        scale = t * w * (1.0 - z) ** rule.a * z ** rule.b * math.exp(-gamma * s)
+        acc = acc + scale * np.exp(-s * grid.k2) * integrand_at(t * z)
+    return acc
 
 
 def scale_data(data, factor):

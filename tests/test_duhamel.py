@@ -1,23 +1,25 @@
-"""Beta-function specials, the scalar quadrature identity, convergence of
-the singular rules, and the contracts of the nine integral operators."""
+"""Beta-function specials, the singular rules and the Duhamel weights,
+convergence of the quadrature, the constant bookkeeping, and the contracts
+of the nine integral terms through the solver's integrand store and map."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mildlab.grids import Grid
+from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_heat_apply,
-                              gradient, divergence, dealias, leray_project,
-                              spectral_divergence_defect)
+                              gradient, divergence, dealias, divergence_defects)
 from mildlab.fields import gaussian, solenoidal_gaussian, random_band_limited
-from mildlab.state import StateTuple
-from mildlab.admissibility import ExponentSet, beta_arguments, suggest_subindices
-from mildlab.duhamel import (beta_function, QuadratureRule, rule_exponents, default_rules,
+from mildlab.state import StateTuple, Trajectory
+from mildlab.admissibility import ExponentSet
+from mildlab.duhamel import (beta_function, QuadratureRule, rule_exponents,
                              bilinear_constant_bound, linear_constant_bound, ForceField,
-                             ConstantsTable, duhamel_integral, bilinear_B, linear_L,
-                             integrand_spectrum, ALL_TAGS)
+                             ConstantsTable, ALL_TAGS)
 from mildlab.norms import MorreyIndex, morrey_norm, smoothing_constant, x_space_norms
+from mildlab.solver import SolverConfig, _duhamel_weights, _integrand_store, picard_map
+
+from conftest import integrand_spectrum, node_quadrature
 
 
 def worked_3d():
@@ -42,9 +44,13 @@ def test_beta_rejects_nonpositive():
 
 
 def test_rule_weight_sum_is_beta():
-    for a, b in ((0.875, 0.625), (0.5, 0.5), (0.25, 0.75), (0.0, 0.0)):
+    # the weight alone integrates to b(1-a, 1-b): the scalar Duhamel
+    # identity integral_0^t (t-tau)^{-a} tau^{-b} dtau = t^{1-a-b} b(1-a, 1-b)
+    pairs = [(0.875, 0.625), (0.5, 0.5), (0.25, 0.75), (0.0, 0.0)]
+    pairs += [rule_exponents(tag, exps) for exps in (worked_3d(), exps_2d()) for tag in ALL_TAGS]
+    for a, b in pairs:
         rule = QuadratureRule(a, b, 32)
-        assert abs(sum(rule.weights) - beta_function(1 - a, 1 - b)) < 1e-10
+        assert abs(sum(rule.weights) - beta_function(1 - a, 1 - b)) < 1e-10, (a, b)
 
 
 def test_rule_rejects_nonintegrable():
@@ -54,40 +60,42 @@ def test_rule_rejects_nonintegrable():
         QuadratureRule(0.5, 1.2)
 
 
-def test_scalar_duhamel_identity():
-    # integral_0^t (t-tau)^{-a} tau^{-b} dtau = t^{1-a-b} b(1-a, 1-b)
-    for exps in (worked_3d(), exps_2d()):
-        for tag in ALL_TAGS:
-            a, b = rule_exponents(tag, exps)
-            rule = QuadratureRule(a, b, 32)
-            for t in (0.37, 1.0, 5.0):
-                got = duhamel_integral(lambda s: s ** (-a), lambda tau: tau ** (-b), t, rule)
-                expected = t ** (1 - a - b) * beta_function(1 - a, 1 - b)
-                assert abs(got - expected) / expected < 1e-10, (tag, t)
-
-
 def test_constant_integrand_against_dense_reference():
+    # a constant integrand sees only the weights summed over stored times
     grid = Grid(2, 32, 6.0)
     g = random_band_limited(grid, seed=4)
-    rule = QuadratureRule(0.0, 0.0, 32)
-    dense = QuadratureRule(0.0, 0.0, 320)
-    kernel = lambda s: np.exp(-s * grid.k2)
+    times = TimeGrid.spanning(0.01, 1.0, 12).times
+    k2_shells, shell_of = np.unique(grid.k2.reshape(-1), return_inverse=True)
     t = 0.8
-    got = duhamel_integral(kernel, lambda tau: g.coeffs, t, rule)
-    ref = duhamel_integral(kernel, lambda tau: g.coeffs, t, dense)
+
+    def integral(nodes):
+        rows = _duhamel_weights(t, QuadratureRule(0.0, 0.0, nodes), 0.0, times, k2_shells)
+        return rows.sum(axis=0)[shell_of].reshape(grid.kshape) * g.coeffs
+
+    got, ref = integral(32), integral(320)
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-8
 
 
-def test_zero_integrand_zero_result():
-    rule = QuadratureRule(0.5, 0.25, 16)
-    got = duhamel_integral(lambda s: 1.0, lambda tau: 0.0, 2.0, rule)
-    assert got == 0.0
+def test_weight_rows_at_shell_zero_carry_the_node_factor():
+    # on |xi|^2 = 0 without damping, the interpolation weights of each node
+    # sum to 1, so the rows add up to t sum w (1-z)^a z^b
+    times = TimeGrid.spanning(0.05, 4.0, 16).times
+    k2_shells = np.array([0.0, 0.5, 3.0])
+    for exps in (worked_3d(), exps_2d()):
+        for tag in ALL_TAGS:
+            rule = QuadratureRule(*rule_exponents(tag, exps), 32)
+            z = rule.nodes
+            for t in (0.01, 0.9, 4.0, 7.5):
+                rows = _duhamel_weights(t, rule, 0.0, times, k2_shells)
+                expected = t * np.sum(rule.weights * (1.0 - z) ** rule.a * z ** rule.b)
+                assert abs(rows[:, 0].sum() - expected) <= 1e-13 * expected, (tag, t)
 
 
 def test_quadrature_convergence_on_smooth_integrand():
-    # halving the node spacing moves a caloric-product integral by < 1e-6
+    # halving the node spacing moves a caloric-product integral by < 1e-6;
+    # the integrand oracle is evaluated at the exact caloric state of each
+    # node, since interpolation between stored times is not smooth in tau
     grid = Grid(2, 32, 8.0)
-    exps = exps_2d()
     # centers offset so the advection products are not symmetry-killed
     n0 = gaussian(grid, a=1.0, amplitude=0.1, center=(0.9, -0.4))
     u0 = solenoidal_gaussian(grid, a=1.0, amplitude=0.1)
@@ -101,16 +109,10 @@ def test_quadrature_convergence_on_smooth_integrand():
     # matched rule carries no singular weight at all
     t = 1.3
     for tag in ("B141", "B212", "B444"):
-        coarse = bilinear_B(tag, state_at, t, exps, rule=QuadratureRule(0.0, 0.0, 32))
-        fine = bilinear_B(tag, state_at, t, exps, rule=QuadratureRule(0.0, 0.0, 64))
-        if isinstance(coarse, VectorField):
-            num = max(np.abs(c.coeffs - f.coeffs).max()
-                      for c, f in zip(coarse.components, fine.components))
-            den = max(np.abs(f.coeffs).max() for f in fine.components)
-        else:
-            num = np.abs(coarse.coeffs - fine.coeffs).max()
-            den = np.abs(fine.coeffs).max()
-        assert num / den < 1e-6, tag
+        integrand_at = lambda tau: integrand_spectrum(tag, state_at(tau))
+        coarse = node_quadrature(grid, QuadratureRule(0.0, 0.0, 32), t, integrand_at)
+        fine = node_quadrature(grid, QuadratureRule(0.0, 0.0, 64), t, integrand_at)
+        assert np.abs(coarse - fine).max() / np.abs(fine).max() < 1e-6, tag
 
 
 def test_bilinear_constant_examples():
@@ -164,6 +166,8 @@ def test_constants_table_combination():
 
 @pytest.fixture(scope="module")
 def caloric_setup():
+    """The caloric trajectory of offset 2D data on 16 stored times, and a
+    force."""
     # scalar profiles sit off-center: advection of a radial profile by the
     # azimuthal test velocity would vanish identically
     grid = Grid(2, 48, 10.0)
@@ -175,86 +179,81 @@ def caloric_setup():
     # whose projected self-advection vanishes identically
     u0 = solenoidal_gaussian(grid, a=1.0, amplitude=0.2, center=(-1.2, 0.3)) \
         + solenoidal_gaussian(grid, a=1.4, amplitude=0.15, center=(1.0, 0.8))
+    time_grid = TimeGrid.spanning(0.05, 4.0, 16)
+    traj = Trajectory.from_states([
+        StateTuple(tau, heat_apply(n0, tau), heat_apply(c0, tau),
+                   damped_heat_apply(v0, tau, 0.0), heat_apply(u0, tau))
+        for tau in time_grid.times])
+    force = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=0.5), n1=1.5)
+    return traj, time_grid, force
 
-    def state_at(tau):
-        return StateTuple(tau, heat_apply(n0, tau), heat_apply(c0, tau),
-                          damped_heat_apply(v0, tau, 0.0), heat_apply(u0, tau))
 
-    return grid, state_at
+def scaled(traj, n=1.0, c=1.0, v=1.0, u=1.0):
+    """The trajectory with each component scaled by its factor."""
+    return Trajectory(traj.grid, traj.times, n * traj.n, c * traj.c, v * traj.v, u * traj.u)
+
+
+def unpacked(grid, packed):
+    """A store stack (..., dealiased modes) spread back onto every mode."""
+    full = np.zeros(packed.shape[:-1] + (grid.dealias_mask.size,), dtype=complex)
+    full[..., np.flatnonzero(grid.dealias_mask)] = packed
+    return full.reshape(packed.shape[:-1] + grid.kshape)
+
+
+def _map_config(time_grid, grid, gamma=0.0, force=None):
+    return SolverConfig(exps=exps_2d(), grid=grid, time_grid=time_grid, gamma=gamma,
+                        quad_nodes=16, force=force)
 
 
 def test_bilinear_zero_argument_gives_zero(caloric_setup):
-    grid, state_at = caloric_setup
-    exps = exps_2d()
-
-    def n_zeroed(tau):
-        s = state_at(tau)
-        return StateTuple(tau, SpectralField.zero(grid), s.c, s.v, s.u)
-
-    for tag in ("B141", "B112", "B113", "B212"):
-        out = bilinear_B(tag, n_zeroed, 0.9, exps, node_count=8)
-        assert np.abs(out.coeffs).max() == 0.0, tag
+    traj, _, force = caloric_setup
+    tags = ("B141", "B112", "B113", "B212", "L3", "L4")
+    full = _integrand_store(traj, force, True)
+    store = _integrand_store(scaled(traj, n=0.0), force, True)
+    for tag in tags:
+        assert np.abs(full[tag]).max() > 0, tag
+        assert np.abs(store[tag]).max() == 0.0, tag
 
 
 def test_bilinear_scaling_in_each_slot(caloric_setup):
-    grid, state_at = caloric_setup
-    exps = exps_2d()
+    traj, _, _ = caloric_setup
     lam = 3.0
-
-    def scaled_n(tau):
-        s = state_at(tau)
-        return StateTuple(tau, lam * s.n, s.c, s.v, s.u)
-
-    base = bilinear_B("B141", state_at, 0.7, exps, node_count=16)
-    scaled = bilinear_B("B141", scaled_n, 0.7, exps, node_count=16)
-    assert np.abs(scaled.coeffs - lam * base.coeffs).max() <= 1e-12 * np.abs(
-        lam * base.coeffs).max()
+    base = _integrand_store(traj, None, False)["B141"]
+    for slot in ("n", "u"):
+        stack = _integrand_store(scaled(traj, **{slot: lam}), None, False)["B141"]
+        assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slot
 
 
 def test_b444_divergence_free(caloric_setup):
-    grid, state_at = caloric_setup
-    out = bilinear_B("B444", state_at, 1.1, exps_2d(), node_count=16)
-    assert spectral_divergence_defect(out) < 1e-12
-
-
-def test_b141_requires_solenoidal(caloric_setup):
-    grid, state_at = caloric_setup
-
-    def bad(tau):
-        s = state_at(tau)
-        broken = VectorField([s.n, s.n])  # a gradient-heavy, non-solenoidal field
-        return StateTuple(tau, s.n, s.c, s.v, broken)
-
-    with pytest.raises(ValueError, match="solenoidal"):
-        bilinear_B("B141", bad, 0.5, exps_2d(), node_count=8)
+    traj, _, _ = caloric_setup
+    stack = unpacked(traj.grid, _integrand_store(traj, None, False)["B444"])
+    assert np.abs(stack).max() > 0
+    assert divergence_defects(traj.grid, stack).max() < 1e-12
 
 
 def test_linear_terms(caloric_setup):
-    grid, state_at = caloric_setup
-    exps = exps_2d()
-    zero_n = lambda tau: SpectralField.zero(grid)
-    out = linear_L("L3", zero_n, 1.0, 0.3, None, exps, node_count=8)
-    assert np.abs(out.coeffs).max() == 0.0
-    force = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=0.5), n1=1.5)
-    n_at = lambda tau: state_at(tau).n
-    l4 = linear_L("L4", n_at, 1.0, 0.0, force, exps, node_count=16)
-    assert spectral_divergence_defect(l4) < 1e-12
-    # L3 with gamma = 0 equals the undamped variant exactly
-    a = linear_L("L3", n_at, 1.0, 0.0, None, exps, node_count=16)
-    rule = QuadratureRule(*rule_exponents("L3", exps), node_count=16)
-    kernel = lambda s: np.exp(-s * grid.k2)
-    b = duhamel_integral(kernel, lambda tau: n_at(tau).coeffs, 1.0, rule)
-    assert np.array_equal(a.coeffs, b)
+    # with only n nonzero and zero data, the map's output is L3 in v and
+    # L4 in u: every bilinear term and the caloric rows vanish
+    traj, time_grid, force = caloric_setup
+    grid = traj.grid
+    config = _map_config(time_grid, grid, gamma=0.3, force=force)
+    zero_data = StateTuple.zero(grid)
+    out = picard_map(scaled(traj, c=0.0, v=0.0, u=0.0), zero_data, config)
+    assert np.abs(out.n).max() == 0.0 and np.abs(out.c).max() == 0.0
+    assert np.abs(out.v).max() > 0 and np.abs(out.u).max() > 0
+    assert divergence_defects(grid, out.u).max() < 1e-12
+    # L3 and L4 of a zero cell density are zero
+    out = picard_map(scaled(traj, n=0.0, c=0.0, v=0.0, u=0.0), zero_data, config)
+    assert np.abs(out.v).max() == 0.0 and np.abs(out.u).max() == 0.0
 
 
 def test_linear_l3_is_linear(caloric_setup):
-    grid, state_at = caloric_setup
-    exps = exps_2d()
-    n_at = lambda tau: state_at(tau).n
-    n2_at = lambda tau: 2.0 * state_at(tau).n
-    a = linear_L("L3", n_at, 0.8, 0.2, None, exps, node_count=16)
-    b = linear_L("L3", n2_at, 0.8, 0.2, None, exps, node_count=16)
-    assert np.abs(b.coeffs - 2 * a.coeffs).max() <= 1e-12 * np.abs(b.coeffs).max()
+    traj, time_grid, _ = caloric_setup
+    grid = traj.grid
+    config = _map_config(time_grid, grid, gamma=0.2)
+    a = picard_map(scaled(traj, c=0.0, v=0.0, u=0.0), StateTuple.zero(grid), config).v
+    b = picard_map(scaled(traj, n=2.0, c=0.0, v=0.0, u=0.0), StateTuple.zero(grid), config).v
+    assert np.abs(b - 2 * a).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_gradient_moving_identity():
@@ -275,18 +274,21 @@ def test_gradient_moving_identity():
 
 def test_measured_operator_bound_b141(caloric_setup):
     # weighted norm of B141 stays below (measured smoothing constant) x
-    # (beta factor) x ||u||_X4 ||n||_X1, with 10% headroom
-    grid, state_at = caloric_setup
+    # (beta factor) x ||u||_X4 ||n||_X1, with 10% headroom; with zero data
+    # and c = v = 0 the map's cell density is B141 alone
+    traj, time_grid, _ = caloric_setup
+    grid = traj.grid
     exps = exps_2d()
-    states = [state_at(t) for t in np.geomspace(0.05, 4.0, 10)]
-    rec = x_space_norms(states, exps)
+    traj = scaled(traj, c=0.0, v=0.0)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=time_grid, quad_nodes=32)
+    out = picard_map(traj, StateTuple.zero(grid), config)
+    rec = x_space_norms(traj, exps)
     s1 = exps.p1 * exps.q1 / (exps.p1 + exps.q1)
     pq = exps.p * exps.q / (exps.p + exps.q)
     c_smooth = smoothing_constant(grid, MorreyIndex(pq, s1),
                                   MorreyIndex(exps.q, exps.q1), derivative=True)
     bound = c_smooth * bilinear_constant_bound("C1", exps) * rec.u_norm * rec.n_norm
     idx_q = MorreyIndex(exps.q, exps.q1)
-    for t in (0.3, 1.0, 2.5):
-        term = bilinear_B("B141", state_at, t, exps, node_count=32)
-        weighted = t ** exps.l_q * morrey_norm(term, idx_q)
-        assert weighted <= bound * 1.1, (t, weighted, bound)
+    for k, t in enumerate(time_grid.times):
+        weighted = t ** exps.l_q * morrey_norm(SpectralField(grid, out.n[k]), idx_q)
+        assert 0 < weighted <= bound * 1.1, (t, weighted, bound)

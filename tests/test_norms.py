@@ -18,6 +18,8 @@ from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, latti
 from mildlab.state import StateTuple
 from mildlab.admissibility import ExponentSet
 
+from conftest import exponents_2d, gaussian_data
+
 
 def brute_force_morrey(values, grid, p, p1):
     """Exhaustive max over every grid center and every distinct periodic
@@ -269,6 +271,23 @@ def test_lp_zero_field(grid16):
     assert besov_morrey_norm_lp(SpectralField.zero(grid16), MorreyIndex(3, 2), -1.0) == 0.0
 
 
+def _field_with_one_nan(grid):
+    vals = random_band_limited(grid, seed=8).to_physical()
+    vals[2, 7] = math.nan
+    return SpectralField.from_physical(grid, vals)
+
+
+def test_besov_heat_nan_field_gives_nan(grid16):
+    # a sup over times built on max(best, term) would read the NaN as 0.0
+    f = _field_with_one_nan(grid16)
+    assert math.isnan(morrey_norm(f, MorreyIndex(3, 2)))
+    assert math.isnan(besov_morrey_norm_heat(f, MorreyIndex(3, 2), -1.0))
+
+
+def test_lp_nan_field_gives_nan(grid16):
+    assert math.isnan(besov_morrey_norm_lp(_field_with_one_nan(grid16), MorreyIndex(3, 2), -1.0))
+
+
 def test_heat_vs_lp_within_factor_four():
     grid = Grid(2, 64, 8.0)
     idx = MorreyIndex(2, 1.5)
@@ -331,6 +350,25 @@ def test_data_norm_zero_and_constant_c(grid16):
                       SpectralField.zero(grid16, pinned=True),
                       __import__("mildlab.spectral", fromlist=["VectorField"]).VectorField.zero(grid16))
     assert abs(data_norm_I(data, exps) - 1.7) < 1e-12
+
+
+def test_data_norm_nan_cell_density_gives_nan():
+    from mildlab.solver import SolverConfig, smallness_check
+
+    grid = Grid(2, 16, 4.0)
+    data = gaussian_data(grid)
+    n = data.n.to_physical()
+    n[3, 5] = math.nan
+    data.n = SpectralField.from_physical(grid, n)
+    exps = exponents_2d()
+    parts = data_norm_components(data, exps)
+    assert math.isnan(parts["n0"])
+    assert all(math.isfinite(parts[name]) for name in ("c0_sup", "grad_c0", "grad_v0", "u0"))
+    assert math.isnan(data_norm_I(data, exps))
+    config = SolverConfig(exps=exps, grid=grid,
+                          time_grid=TimeGrid.spanning(grid.spacing ** 2, 16.0, 8))
+    table = smallness_check(data, config, n_fields=3)
+    assert math.isnan(table.data_norm) and not table.small_enough
 
 
 def test_data_norm_rejects_inadmissible(grid16):

@@ -11,13 +11,13 @@ from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat
     spectral_divergence_defect
 from mildlab.fields import gaussian, solenoidal_gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
-from mildlab.duhamel import (bilinear_B, linear_L, ForceField, ConstantsTable,
-                             integrand_spectrum, ALL_TAGS)
+from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS
 from mildlab.norms import x_space_norms
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
                             smallness_check, measured_constants)
 
-from conftest import exponents_2d, exponents_3d, gaussian_data, scale_data
+from conftest import (exponents_2d, exponents_3d, gaussian_data, scale_data,
+                      integrand_spectrum, node_quadrature)
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +89,10 @@ def test_picard_map_zero_trajectory_returns_caloric(small_grid, small_config):
 
 
 def test_picard_map_matches_per_operator_path(small_grid):
-    # the solver interpolates integrand samples; the public per-operator
-    # path interpolates the state: on a dense caloric trajectory the two
-    # agree to interpolation accuracy
+    # the solver interpolates integrand samples in log t; the per-node
+    # oracle evaluates each integrand at the exact caloric state of its
+    # node: on a dense caloric trajectory the two agree to interpolation
+    # accuracy
     exps = exponents_2d()
     tg = TimeGrid.spanning(0.01, 10.0, 41)
     config = SolverConfig(exps=exps, grid=small_grid, time_grid=tg, gamma=0.0,
@@ -100,25 +101,24 @@ def test_picard_map_matches_per_operator_path(small_grid):
     caloric = caloric_extension(data, 0.0, tg)
     mapped = picard_map(caloric, data, config)
     k = 30
-    t = tg.times[k]
 
     def state_at(tau):
         return StateTuple(tau, heat_apply(data.n, tau), heat_apply(data.c, tau),
                           damped_heat_apply(data.v, tau, 0.0), heat_apply(data.u, tau))
 
-    total = caloric.n[k].copy()
-    for tag in ("B141", "B112", "B113"):
-        total = total + bilinear_B(tag, state_at, t, exps, node_count=24).coeffs
-    err = np.abs(mapped.n[k] - total).max() / np.abs(total).max()
-    assert err < 2e-2
+    expected = reference_picard_map(caloric, data, config, state_at=state_at, rows=[k])
+    for name in ("n", "c", "v", "u"):
+        got, want = getattr(mapped, name)[k], getattr(expected, name)[k]
+        assert np.abs(got - want).max() / np.abs(want).max() < 2e-2, name
 
 
-def reference_picard_map(traj, data, config):
-    """The per-node quadrature the weight operator replaces: each stored
-    state's integrand spectrum from the public per-state kernel,
-    interpolated linearly in log t at every Gauss-Jacobi node (clamped to
-    the stored span), times the node factor, the damping and the heat
-    multiplier of the lag."""
+def reference_picard_map(traj, data, config, state_at=None, rows=None):
+    """The per-node quadrature the weight operator replaces, on the
+    test-local integrand oracle.  Without ``state_at``, each stored state's
+    integrand is interpolated linearly in log t at every Gauss-Jacobi node
+    (clamped to the stored span); with it, the oracle is evaluated at the
+    state ``state_at(tau)`` of each node instead.  Only the output ``rows``
+    (default all) get their Duhamel terms; the others stay caloric."""
     grid = config.grid
     times = config.time_grid.times
     log_times = np.log(times)
@@ -127,8 +127,9 @@ def reference_picard_map(traj, data, config):
     target = {"B141": out.n, "B112": out.n, "B113": out.n, "B242": out.c, "B212": out.c,
               "B343": out.v, "L3": out.v, "B444": out.u, "L4": out.u}
     tags = ALL_TAGS if config.force is not None else ALL_TAGS[:-1]
-    store = {tag: np.stack([integrand_spectrum(tag, traj.state(k), config.force)
-                            for k in range(len(traj))]) for tag in tags}
+    if state_at is None:
+        store = {tag: np.stack([integrand_spectrum(tag, traj.state(k), config.force)
+                                for k in range(len(traj))]) for tag in tags}
 
     def lerp(arr, tau):
         if tau <= times[0]:
@@ -139,16 +140,14 @@ def reference_picard_map(traj, data, config):
         theta = (math.log(tau) - log_times[j]) / (log_times[j + 1] - log_times[j])
         return (1.0 - theta) * arr[j] + theta * arr[j + 1]
 
-    for kk, t in enumerate(times):
+    for kk in range(len(times)) if rows is None else rows:
         for tag in tags:
-            rule = rules[tag]
+            if state_at is None:
+                integrand_at = lambda tau: lerp(store[tag], tau)
+            else:
+                integrand_at = lambda tau: integrand_spectrum(tag, state_at(tau), config.force)
             gamma = config.gamma if tag in ("B343", "L3") else 0.0
-            acc = 0.0
-            for z, w in zip(rule.nodes, rule.weights):
-                s = t - t * z
-                scale = t * w * (1.0 - z) ** rule.a * z ** rule.b * math.exp(-gamma * s)
-                acc = acc + scale * np.exp(-s * grid.k2) * lerp(store[tag], t * z)
-            target[tag][kk] += acc
+            target[tag][kk] += node_quadrature(grid, rules[tag], times[kk], integrand_at, gamma)
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out
 
