@@ -60,6 +60,22 @@ def test_rule_rejects_nonintegrable():
         QuadratureRule(0.5, 1.2)
 
 
+def test_scalar_duhamel_identity():
+    # integral_0^t (t-tau)^{-a} tau^{-b} dtau = t^{1-a-b} b(1-a, 1-b), read
+    # off the zero mode of the per-node quadrature, where the heat kernel is 1
+    grid = Grid(2, 8, 4.0)
+    assert grid.k2.flat[0] == 0.0
+    for exps in (worked_3d(), exps_2d()):
+        for tag in ALL_TAGS:
+            a, b = rule_exponents(tag, exps)
+            rule = QuadratureRule(a, b, 32)
+            for t in (0.37, 1.0, 5.0):
+                got = node_quadrature(grid, rule, t,
+                                      lambda tau: (t - tau) ** (-a) * tau ** (-b)).flat[0]
+                expected = t ** (1 - a - b) * beta_function(1 - a, 1 - b)
+                assert abs(got - expected) / expected < 1e-10, (tag, t)
+
+
 def test_constant_integrand_against_dense_reference():
     # a constant integrand sees only the weights summed over stored times
     grid = Grid(2, 32, 6.0)
