@@ -2,7 +2,6 @@
 sub-indices, derived time weights, and the endpoint exponents of every
 singular time integral."""
 
-import math
 from dataclasses import dataclass, field
 
 # relative slack for clauses designed to sit at equality

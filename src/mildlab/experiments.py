@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import ExponentSet, check_admissible, suggest_subindices  # re-export
-from .norms import MorreyIndex, morrey_norm, x_space_norms
-from .spectral import SpectralField, VectorField, gradient, rescale_field
+from .norms import x_space_norms
+from .spectral import VectorField, rescale_field
 from .solver import caloric_extension, picard_solve
 
 #: parabolic scaling degrees of (n, c, v, u)
@@ -115,30 +114,6 @@ class DecayFit:
     applicable: bool = True
 
 
-def norm_series(traj, component, exps, sampling=None):
-    """Unweighted norm of one component along the trajectory."""
-    idx = {"n": MorreyIndex(exps.q, exps.q1),
-           "grad_c": MorreyIndex(exps.r, exps.r1),
-           "grad_v": MorreyIndex(exps.r, exps.r1),
-           "u": MorreyIndex(exps.p, exps.p1)}
-    vals = []
-    for k in range(len(traj)):
-        st = traj.state(k)
-        if component == "n":
-            vals.append(morrey_norm(st.n, idx["n"], sampling))
-        elif component == "c":
-            vals.append(float(np.abs(st.c.to_physical()).max()))
-        elif component == "grad_c":
-            vals.append(morrey_norm(gradient(st.c), idx["grad_c"], sampling))
-        elif component == "grad_v":
-            vals.append(morrey_norm(gradient(st.v), idx["grad_v"], sampling))
-        elif component == "u":
-            vals.append(morrey_norm(st.u, idx["u"], sampling))
-        else:
-            raise ValueError(f"unknown component {component!r}")
-    return np.asarray(vals)
-
-
 def _tail_indices(times, tail_points=10, min_points=8):
     """Last tail_points entries, clipped to the top decade of t."""
     times = np.asarray(times)
@@ -152,22 +127,20 @@ def _tail_indices(times, tail_points=10, min_points=8):
 
 def fit_decay_rate(traj, component, exps, sampling=None, tail_points=10):
     """Least-squares slope of log norm vs log t on the tail, against the
-    critical rate the weighted space predicts."""
+    critical rate the weighted space predicts; the norm is the weighted
+    series of ``x_space_norms`` times t^predicted."""
     predicted = {"n": -exps.l_q, "grad_c": -exps.mu_r, "grad_v": -exps.mu_r,
                  "u": -exps.mu_p}.get(component)
     if predicted is None:
         raise ValueError(f"no predicted rate for component {component!r}")
-    series = norm_series(traj, component, exps, sampling)
+    weighted = x_space_norms(traj, exps, sampling).series[component]
     idx = _tail_indices(traj.times, tail_points)
-    tail = series[idx]
+    tail = weighted[idx] * traj.times[idx] ** predicted
     if np.any(tail <= 0) or not np.all(np.isfinite(tail)):
         return DecayFit(component, math.nan, predicted, math.nan, len(idx), applicable=False)
     slope = np.polyfit(np.log(traj.times[idx]), np.log(tail), 1)[0]
     deviation = abs(slope - predicted) / abs(predicted)
     return DecayFit(component, float(slope), float(predicted), float(deviation), len(idx))
-
-
-_SERIES_NAMES = ("n", "c_sup", "grad_c", "grad_v", "u")
 
 
 def tail_decreasing(times, series, rel_slack=1e-9):
@@ -201,12 +174,6 @@ class StabilityReport:
         return all(self.volta_decreasing.values()) and all(self.ida_decreasing.values())
 
 
-def _weighted_series(record):
-    return {"n": record.n_series, "c_sup": record.c_sup_series,
-            "grad_c": record.c_grad_series, "grad_v": record.v_series,
-            "u": record.u_series}
-
-
 def asymptotic_stability_run(data, perturbed_data, config, constants=None):
     """Solve both data sets, then compare the five weighted difference
     series of the solutions against the five caloric difference series of
@@ -217,10 +184,10 @@ def asymptotic_stability_run(data, perturbed_data, config, constants=None):
     times = config.time_grid.times
 
     diff = traj_b - traj_a
-    volta = _weighted_series(x_space_norms(diff, config.exps, config.sampling))
+    volta = x_space_norms(diff, config.exps, config.sampling).series
     data_diff = perturbed_data - data
     cal_diff = caloric_extension(data_diff, config.gamma, config.time_grid)
-    ida = _weighted_series(x_space_norms(cal_diff, config.exps, config.sampling))
+    ida = x_space_norms(cal_diff, config.exps, config.sampling).series
 
     identical = all(np.all(v == 0.0) for v in ida.values()) and \
         all(np.all(v == 0.0) for v in volta.values())

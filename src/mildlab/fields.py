@@ -14,42 +14,23 @@ import numpy as np
 from .spectral import SpectralField, VectorField, heat_apply, leray_project
 
 
-def _offset_r2(grid, center):
-    if center is None:
-        return sum(xi ** 2 for xi in grid.x)
-    half = 2.0 * grid.box_half_width
-    r2 = np.zeros(grid.shape)
-    for xi, ci in zip(grid.x, center):
-        d = np.abs(xi - ci)
-        d = np.minimum(d, half - d)
-        r2 = r2 + d ** 2
-    return r2
-
-
 def gaussian(grid, a=1.0, amplitude=1.0, center=None):
     """amplitude * exp(-|x - c|^2 / (2a)); heat flow sends a -> a + 2t."""
-    r2 = _offset_r2(grid, center)
+    r2 = sum(d ** 2 for d in grid.displacement(center))
     return SpectralField.from_physical(grid, amplitude * np.exp(-r2 / (2.0 * a)))
 
 
 def gaussian_evolved(grid, a, t, amplitude=1.0, center=None):
     """Closed form of the heat-evolved Gaussian, for oracle comparisons."""
     at = a + 2.0 * t
-    r2 = _offset_r2(grid, center)
+    r2 = sum(d ** 2 for d in grid.displacement(center))
     amp = amplitude * (a / at) ** (grid.dim / 2.0)
     return SpectralField.from_physical(grid, amp * np.exp(-r2 / (2.0 * at)))
 
 
 def solenoidal_gaussian(grid, a=1.0, amplitude=1.0, center=None):
     """Divergence-free velocity from a Gaussian stream function."""
-    half = 2.0 * grid.box_half_width
-    if center is None:
-        center = (0.0,) * grid.dim
-    disp = []
-    for xi, ci in zip(grid.x, center):
-        d = xi - ci
-        d = d - half * np.round(d / half)
-        disp.append(d)
+    disp = grid.displacement(center)
     r2 = sum(d ** 2 for d in disp)
     psi = amplitude * np.exp(-r2 / (2.0 * a))
     # planar curl (d_y psi, -d_x psi[, 0]) is exactly solenoidal
@@ -77,15 +58,7 @@ def radial_envelope(grid, r_on, r_off):
 
 def bump(grid, radius, amplitude=1.0, center=None):
     """Compactly supported C-infinity bump of the given radius."""
-    if center is None:
-        center = (0.0,) * grid.dim
-    half = 2.0 * grid.box_half_width
-    r2 = np.zeros(grid.shape)
-    for xi, ci in zip(grid.x, center):
-        d = np.abs(xi - ci)
-        d = np.minimum(d, half - d)
-        r2 = r2 + d ** 2
-    s = r2 / radius ** 2
+    s = sum(d ** 2 for d in grid.displacement(center)) / radius ** 2
     vals = np.zeros(grid.shape)
     inside = s < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))

@@ -70,14 +70,19 @@ class Grid:
     def size(self):
         return self.m ** self.dim
 
-    def radius(self):
-        """Periodic distance to the origin, per grid point."""
-        half = 2.0 * self.box_half_width
-        r2 = np.zeros(self.shape)
-        for xi in self.x:
-            d = np.minimum(np.abs(xi), half - np.abs(xi))
-            r2 = r2 + d ** 2
-        return np.sqrt(r2)
+    def displacement(self, center=None):
+        """Minimum-image displacement x - center per axis, each component
+        in [-L, L] and broadcastable to the grid shape; center defaults
+        to the origin."""
+        if center is None:
+            center = (0.0,) * self.dim
+        period = 2.0 * self.box_half_width
+        offsets = [xi - ci for xi, ci in zip(self.x, center)]
+        return [d - period * np.round(d / period) for d in offsets]
+
+    def radius(self, center=None):
+        """Periodic distance to the center (default the origin), per grid point."""
+        return np.sqrt(sum(d ** 2 for d in self.displacement(center)))
 
     def forward(self, values):
         return sfft.rfftn(values)

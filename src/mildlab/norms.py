@@ -244,52 +244,39 @@ def besov_morrey_norm_lp(field, idx, s, bank=None):
 
 
 class XNormsRecord:
-    """Weighted sup-in-time norms of one trajectory, with their series."""
+    """Weighted sup-in-time norms of one trajectory, with their series in
+    ``series``, keyed n, c_sup, grad_c, grad_v and u."""
 
-    def __init__(self, times, n_series, c_sup_series, c_grad_series, v_series, u_series):
+    def __init__(self, times, series):
         self.times = np.asarray(times)
-        self.n_series = np.asarray(n_series)
-        self.c_sup_series = np.asarray(c_sup_series)
-        self.c_grad_series = np.asarray(c_grad_series)
-        self.v_series = np.asarray(v_series)
-        self.u_series = np.asarray(u_series)
-        self.n_norm = float(self.n_series.max(initial=0.0))
-        self.c_norm = float(self.c_sup_series.max(initial=0.0)
-                            + self.c_grad_series.max(initial=0.0))
-        self.v_norm = float(self.v_series.max(initial=0.0))
-        self.u_norm = float(self.u_series.max(initial=0.0))
+        self.series = series
+        top = {name: float(values.max(initial=0.0)) for name, values in series.items()}
+        self.n_norm = top["n"]
+        self.c_norm = top["c_sup"] + top["grad_c"]
+        self.v_norm = top["grad_v"]
+        self.u_norm = top["u"]
         self.total = self.n_norm + self.c_norm + self.v_norm + self.u_norm
 
 
-def _states_of(trajectory):
-    if hasattr(trajectory, "states"):
-        return trajectory.states()
-    return list(trajectory)
-
-
-def x_space_norms(trajectory, exps, sampling=None):
+def x_space_norms(traj, exps, sampling=None):
     """The four weighted norms t^{l_q}||n||, ||c||_inf + t^{mu_r}||grad c||,
-    t^{mu_r}||grad v||, t^{mu_p}||u|| and their sum."""
-    states = _states_of(trajectory)
-    if not states:
-        raise ValueError("empty trajectory")
-    times = [s.t for s in states]
-    if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("trajectory times must be positive and strictly increasing")
+    t^{mu_r}||grad v||, t^{mu_p}||u|| of a ``Trajectory`` and their sum; the
+    record's per-time ``series`` are keyed n, c_sup, grad_c, grad_v and u."""
     from .spectral import gradient
 
     idx_q = MorreyIndex(exps.q, exps.q1)
     idx_r = MorreyIndex(exps.r, exps.r1)
     idx_p = MorreyIndex(exps.p, exps.p1)
-    n_s, csup_s, cgrad_s, v_s, u_s = [], [], [], [], []
-    for st in states:
+    series = {name: np.empty(len(traj)) for name in ("n", "c_sup", "grad_c", "grad_v", "u")}
+    for k in range(len(traj)):
+        st = traj.state(k)
         t = st.t
-        n_s.append(t ** exps.l_q * morrey_norm(st.n, idx_q, sampling))
-        csup_s.append(float(np.abs(st.c.to_physical()).max()))
-        cgrad_s.append(t ** exps.mu_r * morrey_norm(gradient(st.c), idx_r, sampling))
-        v_s.append(t ** exps.mu_r * morrey_norm(gradient(st.v), idx_r, sampling))
-        u_s.append(t ** exps.mu_p * morrey_norm(st.u, idx_p, sampling))
-    return XNormsRecord(times, n_s, csup_s, cgrad_s, v_s, u_s)
+        series["n"][k] = t ** exps.l_q * morrey_norm(st.n, idx_q, sampling)
+        series["c_sup"][k] = np.abs(st.c.to_physical()).max()
+        series["grad_c"][k] = t ** exps.mu_r * morrey_norm(gradient(st.c), idx_r, sampling)
+        series["grad_v"][k] = t ** exps.mu_r * morrey_norm(gradient(st.v), idx_r, sampling)
+        series["u"][k] = t ** exps.mu_p * morrey_norm(st.u, idx_p, sampling)
+    return XNormsRecord(traj.times, series)
 
 
 def data_norm_I(data, exps, time_grid=None, sampling=None):

@@ -2,7 +2,8 @@
 integral map on stored trajectories, Picard iteration with a contraction
 trace, and the constant bookkeeping behind the smallness threshold.
 
-The map evaluates its nine integral terms by the matched singular rules.
+The map adds its nine integral terms, evaluated by the matched singular
+rules, in place to the caloric trajectory of ``caloric_extension``.
 Integrand spectra are formed once per stored time (with every
 lag-independent factor applied) on the 2/3-dealiased modes; the map is
 linear in them, through one weight matrix per output time and rule group.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, TimeGrid
-from .state import StateTuple, Trajectory
+from .state import Trajectory
 from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
     spectral_divergence_defect, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
@@ -92,16 +93,15 @@ def caloric_extension(data, gamma, time_grid):
     if defect > 1e-10:
         warnings.warn(f"initial velocity has divergence defect {defect:.2e}; projecting")
         u0 = leray_project(u0)
-    states = []
-    for t in time_grid.times:
-        states.append(StateTuple(
-            t,
-            heat_apply(data.n, t),
-            heat_apply(data.c, t),
-            damped_heat_apply(SpectralField(grid, data.v.coeffs, pinned=True), t, gamma),
-            heat_apply(u0, t),
-        ))
-    return Trajectory.from_states(states)
+    v0 = SpectralField(grid, data.v.coeffs, pinned=True)
+    traj = Trajectory.zero(grid, time_grid.times.copy())
+    for kk, t in enumerate(traj.times):
+        traj.n[kk] = heat_apply(data.n, t).coeffs
+        traj.c[kk] = heat_apply(data.c, t).coeffs
+        traj.v[kk] = damped_heat_apply(v0, t, gamma).coeffs
+        for ax, comp in enumerate(heat_apply(u0, t)):
+            traj.u[kk, ax] = comp.coeffs
+    return traj
 
 
 def _integrand_store(traj, force, have_force):
@@ -183,10 +183,11 @@ def _duhamel_weights(t, rule, gamma, times, k2_shells):
 def picard_map(traj, data, config):
     """One application of the integral map: the free evolution of the data
     plus the seven bilinear and two linear Duhamel terms of the input
-    trajectory.  Caloric rows are rebuilt from the data per output time,
-    so no second trajectory is ever held in memory.  Per output time and
-    rule group, one weight matrix over (stored time, heat shell) carries
-    the whole quadrature, and each tag's stored stack is contracted once.
+    trajectory.  The caloric rows come from ``caloric_extension``, and the
+    Duhamel terms are added into that trajectory's arrays in place, so no
+    second trajectory is ever held in memory.  Per output time and rule
+    group, one weight matrix over (stored time, heat shell) carries the
+    whole quadrature, and each tag's stored stack is contracted once.
     """
     grid = config.grid
     times = config.time_grid.times
@@ -209,24 +210,9 @@ def picard_map(traj, data, config):
     product_shells = np.unique(k2.reshape(-1)[dealiased], return_inverse=True) + (dealiased,)
     all_shells = np.unique(k2.reshape(-1), return_inverse=True) + (slice(None),)
 
-    ks = grid.kshape
-    n_new = np.empty((len(times),) + ks, dtype=complex)
-    c_new = np.empty_like(n_new)
-    v_new = np.empty_like(n_new)
-    u_new = np.empty((len(times), dim) + ks, dtype=complex)
-    u0 = data.u
-    if spectral_divergence_defect(u0) > 1e-10:
-        u0 = leray_project(u0)
-    for kk, t in enumerate(times):
-        decay = np.exp(-t * k2)
-        n_new[kk] = data.n.coeffs * decay
-        c_new[kk] = data.c.coeffs * decay
-        v_new[kk] = data.v.coeffs * (math.exp(-config.gamma * t) * decay)
-        for ax in range(dim):
-            u_new[kk, ax] = u0.components[ax].coeffs * decay
-    v_new[(slice(None),) + zero_idx] = 0.0
-    n_flat, c_flat, v_flat = (a.reshape(len(times), -1) for a in (n_new, c_new, v_new))
-    u_flat = u_new.reshape(len(times), dim, -1)
+    out = caloric_extension(data, config.gamma, config.time_grid)
+    n_flat, c_flat, v_flat = (a.reshape(len(times), -1) for a in (out.n, out.c, out.v))
+    u_flat = out.u.reshape(len(times), dim, -1)
     target = {"B141": n_flat, "B112": n_flat, "B113": n_flat, "B242": c_flat,
               "B212": c_flat, "B343": v_flat, "L3": v_flat, "B444": u_flat, "L4": u_flat}
 
@@ -242,8 +228,8 @@ def picard_map(traj, data, config):
                 target[tag][kk][..., modes] += np.einsum(
                     "jm,j...m->...m", per_mode, store[tag][:len(per_mode)])
         # the attractant is defined modulo constants: pin its zero mode
-        v_new[(kk,) + zero_idx] = 0.0
-    return Trajectory(grid, times.copy(), n_new, c_new, v_new, u_new)
+        out.v[(kk,) + zero_idx] = 0.0
+    return out
 
 
 def _trace_norm(traj, config):

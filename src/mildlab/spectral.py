@@ -47,9 +47,6 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.grid, self.coeffs.copy(), pinned=self.pinned)
 
-    def mean(self):
-        return self.coeffs[(0,) * self.grid.dim].real / self.grid.size
-
     def _like(self, coeffs, pinned=None):
         return SpectralField(self.grid, coeffs, self.pinned if pinned is None else pinned)
 

@@ -56,6 +56,8 @@ class Trajectory:
     def __init__(self, grid, times, n, c, v, u):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
+        if self.times.size == 0:
+            raise ValueError("empty trajectory")
         if np.any(np.diff(self.times) <= 0) or np.any(self.times <= 0):
             raise ValueError("trajectory times must be positive and strictly increasing")
         self.n = n
@@ -95,9 +97,6 @@ class Trajectory:
                           SpectralField(g, self.c[k]),
                           SpectralField(g, self.v[k], pinned=True),
                           VectorField([SpectralField(g, self.u[k, ax]) for ax in range(g.dim)]))
-
-    def states(self):
-        return [self.state(k) for k in range(len(self))]
 
     def copy(self):
         return Trajectory(self.grid, self.times.copy(), self.n.copy(), self.c.copy(),

@@ -12,8 +12,7 @@ from mildlab.fields import (gaussian, solenoidal_gaussian, homogeneous_scalar,
 from mildlab.state import StateTuple, Trajectory
 from mildlab.solver import SolverConfig, caloric_extension, picard_solve
 from mildlab.experiments import (SelfSimilarWindow, verify_self_similar, fit_decay_rate,
-                                 norm_series, tail_decreasing, asymptotic_stability_run,
-                                 DecayFit)
+                                 tail_decreasing, asymptotic_stability_run, DecayFit)
 
 from conftest import exponents_2d, gaussian_data, scale_data
 
@@ -76,10 +75,9 @@ def test_fit_exact_power_law():
                          SpectralField(grid, (t ** (-0.5) * base).coeffs, pinned=True),
                          VectorField([t ** (-0.5) * base] * 2)) for t in tg.times]
     traj = Trajectory.from_states(states)
-    fit = fit_decay_rate(traj, "n", exponents_2d())
-    assert abs(fit.fitted + 0.5) < 1e-10
-    fit_u = fit_decay_rate(traj, "u", exponents_2d())
-    assert abs(fit_u.fitted + 0.5) < 1e-10
+    for component in ("n", "grad_c", "grad_v", "u"):
+        fit = fit_decay_rate(traj, component, exponents_2d())
+        assert abs(fit.fitted + 0.5) < 1e-10, component
 
 
 def test_fit_zero_component_not_applicable():

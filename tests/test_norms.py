@@ -15,7 +15,7 @@ from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, latti
                            morrey_norm, besov_morrey_norm_heat, besov_morrey_norm_lp,
                            x_space_norms, data_norm_I, data_norm_components,
                            smoothing_constant)
-from mildlab.state import StateTuple
+from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
 
 from conftest import exponents_2d, gaussian_data
@@ -305,7 +305,7 @@ def _exps_2d():
 
 def test_x_norms_zero_trajectory(grid16):
     states = [StateTuple.zero(grid16, t=t) for t in (0.5, 1.0, 2.0)]
-    rec = x_space_norms(states, _exps_2d())
+    rec = x_space_norms(Trajectory.from_states(states), _exps_2d())
     assert rec.total == 0.0
 
 
@@ -317,7 +317,7 @@ def test_x_norms_single_snapshot_unit_time(grid16):
     u = solenoidal_gaussian(grid16, a=0.3, amplitude=0.1)
     st = StateTuple(1.0, n, c, v, u)
     exps = _exps_2d()
-    rec = x_space_norms([st], exps)
+    rec = x_space_norms(Trajectory.from_states([st]), exps)
     assert np.isclose(rec.n_norm, morrey_norm(n, MorreyIndex(exps.q, exps.q1)))
     assert np.isclose(rec.u_norm, morrey_norm(u, MorreyIndex(exps.p, exps.p1)))
     assert np.isclose(rec.c_norm,
@@ -330,15 +330,17 @@ def test_x_norms_nan_state_gives_nan_total(grid16):
     n = random_band_limited(grid16, seed=8).to_physical()
     n[2, 7] = math.nan
     states[1].n = SpectralField.from_physical(grid16, n)
-    assert math.isnan(x_space_norms(states, _exps_2d()).total)
+    assert math.isnan(x_space_norms(Trajectory.from_states(states), _exps_2d()).total)
 
 
 def test_x_norms_requires_increasing_times(grid16):
     states = [StateTuple.zero(grid16, t=1.0), StateTuple.zero(grid16, t=0.5)]
-    with pytest.raises(ValueError):
-        x_space_norms(states, _exps_2d())
-    with pytest.raises(ValueError):
-        x_space_norms([], _exps_2d())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        x_space_norms(Trajectory.from_states(states), _exps_2d())
+    with pytest.raises(ValueError, match="empty"):
+        x_space_norms(Trajectory.from_states([]), _exps_2d())
+    with pytest.raises(ValueError, match="empty"):
+        x_space_norms(Trajectory.zero(grid16, []), _exps_2d())
 
 
 def test_data_norm_zero_and_constant_c(grid16):

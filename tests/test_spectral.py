@@ -1,5 +1,6 @@
 """Exactness of the Fourier-side operators: heat flow, derivatives,
-damping, solenoidal projection, lattice rescaling."""
+damping, solenoidal projection, lattice rescaling; the periodic
+displacement behind the centred field recipes."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from mildlab.spectral import (SpectralField, VectorField, heat_apply, heat_grad_
                               damped_heat_apply, leray_project, rescale_field,
                               derivative, gradient, divergence,
                               spectral_divergence_defect, dealias)
-from mildlab.fields import gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited
+from mildlab.fields import (gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited,
+                            bump)
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +213,31 @@ def test_pinned_field_keeps_zero_mode(grid):
     assert f.coeffs[0, 0] == 0.0
     out = heat_apply(f, 0.4)
     assert out.coeffs[0, 0] == 0.0 and out.pinned
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_centred_fields_are_rolled_origin_fields(dim):
+    # a lattice-point centre one cell from the box edge: every centred
+    # recipe is its origin-centred field rolled by whole cells, wrapping
+    # across the edge
+    grid = Grid(dim, 16, 4.0)
+    cells = (grid.m - 1, 1, grid.m - 2)[:dim]
+    center = tuple(-grid.box_half_width + grid.spacing * i for i in cells)
+    shift = tuple(i - grid.m // 2 for i in cells)
+    axes = tuple(range(dim))
+
+    def rolled(values):
+        return np.roll(values, shift, axis=axes)
+
+    for recipe in (lambda c: gaussian(grid, a=0.5, center=c),
+                   lambda c: bump(grid, radius=1.5, center=c)):
+        got = recipe(center).to_physical()
+        assert np.abs(got - rolled(recipe(None).to_physical())).max() <= 1e-14
+    # narrow, so the stream function is negligible at the half period,
+    # where the sign of the displacement is a tie
+    u_c = solenoidal_gaussian(grid, a=0.3, center=center).to_physical()
+    u_0 = solenoidal_gaussian(grid, a=0.3).to_physical()
+    assert max(np.abs(a - rolled(b)).max() for a, b in zip(u_c, u_0)) <= 1e-9
+    for c in (center, None, (grid.box_half_width,) * dim, (-3.3, 2.9, 0.7)[:dim]):
+        for d in grid.displacement(c):
+            assert np.all(np.abs(d) <= grid.box_half_width)
