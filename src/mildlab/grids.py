@@ -80,9 +80,9 @@ class Grid:
         offsets = [xi - ci for xi, ci in zip(self.x, center)]
         return [d - period * np.round(d / period) for d in offsets]
 
-    def radius(self, center=None):
-        """Periodic distance to the center (default the origin), per grid point."""
-        return np.sqrt(sum(d ** 2 for d in self.displacement(center)))
+    def radius(self):
+        """Periodic distance to the origin, per grid point."""
+        return np.sqrt(sum(d ** 2 for d in self.displacement()))
 
     def forward(self, values):
         return sfft.rfftn(values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, TimeGrid
-from .state import Trajectory
+from .state import StateTuple, Trajectory
 from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
     spectral_divergence_defect, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
@@ -84,17 +84,21 @@ class IterationTrace:
         }
 
 
-def caloric_extension(data, gamma, time_grid):
-    """Free evolution of the data at every stored time: the first Picard
-    iterate (e^{tL} n0, e^{tL} c0, e^{-gt} e^{tL} v0, e^{tL} u0)."""
-    grid = data.grid
-    u0 = data.u
+def _solenoidal(u0):
+    """The data velocity, Leray-projected with a warning if it is not solenoidal."""
     defect = spectral_divergence_defect(u0)
     if defect > 1e-10:
         warnings.warn(f"initial velocity has divergence defect {defect:.2e}; projecting")
-        u0 = leray_project(u0)
-    v0 = SpectralField(grid, data.v.coeffs, pinned=True)
-    traj = Trajectory.zero(grid, time_grid.times.copy())
+        return leray_project(u0)
+    return u0
+
+
+def caloric_extension(data, gamma, time_grid):
+    """Free evolution of the data at every stored time: the first Picard
+    iterate (e^{tL} n0, e^{tL} c0, e^{-gt} e^{tL} v0, e^{tL} u0)."""
+    u0 = _solenoidal(data.u)
+    v0 = SpectralField(data.grid, data.v.coeffs, pinned=True)
+    traj = Trajectory.zero(data.grid, time_grid.times.copy())
     for kk, t in enumerate(traj.times):
         traj.n[kk] = heat_apply(data.n, t).coeffs
         traj.c[kk] = heat_apply(data.c, t).coeffs
@@ -244,9 +248,10 @@ def picard_solve(data, config, constants=None):
     norm) stops the iteration with the diverged flag set.
     """
     trace = IterationTrace(constants=constants)
+    # project the data velocity once, so the maps' caloric rows do not warn again
+    data = StateTuple(data.t, data.n, data.c, data.v, _solenoidal(data.u))
     x = caloric_extension(data, config.gamma, config.time_grid)
-    norm_x = _trace_norm(x, config)
-    trace.x_norms.append(norm_x)
+    trace.x_norms.append(_trace_norm(x, config))
     for m in range(config.max_iters):
         x_next = picard_map(x, data, config)
         # the difference is not kept: held, it would stay alive through the
@@ -271,8 +276,6 @@ def picard_solve(data, config, constants=None):
         if len(tail) == 3 and all(r > 1.0 for r in tail):
             trace.diverged = True
             break
-    if trace.converged:
-        trace.final_residual = trace.diffs[-1]
     return x, trace
 
 

@@ -1,14 +1,16 @@
 """Caloric extension, the integral map, Picard convergence, and the
 constants bookkeeping."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat_apply, \
-    spectral_divergence_defect
+    leray_project, spectral_divergence_defect
 from mildlab.fields import gaussian, solenoidal_gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
 from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS
@@ -68,6 +70,28 @@ def test_caloric_projects_nonsolenoidal_with_warning(small_grid, small_config):
     with pytest.warns(UserWarning, match="projecting"):
         traj = caloric_extension(data, 0.0, small_config.time_grid)
     assert spectral_divergence_defect(traj.state(0).u) < 1e-12
+
+
+def test_nonsolenoidal_data_warns_once_per_map_and_once_per_solve(small_grid, small_config):
+    bad_u = VectorField([gaussian(small_grid, a=1.0), gaussian(small_grid, a=2.0)])
+    base = gaussian_data(small_grid)
+    data = scale_data(StateTuple(0.0, base.n, base.c, base.v, bad_u), 0.01)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = caloric_extension(data, 0.0, small_config.time_grid)
+        out = picard_map(traj, data, small_config)
+    assert [str(w.message).endswith("projecting") for w in caught] == [True, True]
+    projected = StateTuple(0.0, data.n, data.c, data.v, leray_project(data.u))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.array_equal(picard_map(traj, projected, small_config).u, out.u)
+    assert caught == []
+    config = dataclasses.replace(small_config, max_iters=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, trace = picard_solve(data, config)
+    assert trace.iterations >= 1
+    assert [str(w.message).endswith("projecting") for w in caught] == [True]
 
 
 def test_picard_map_zero_everything(small_grid, small_config):
