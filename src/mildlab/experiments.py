@@ -80,6 +80,7 @@ def verify_self_similar(traj, lambdas, window, gamma=0.0):
             k2 = int(np.argmin(np.abs(log_t - math.log(target))))
             if abs(log_t[k2] - math.log(target)) > 1e-9:
                 continue
+            pairs += 1
             a = traj.state(k)
             b = traj.state(k2)
             for name, degree in SCALING_DEGREES.items():
@@ -101,7 +102,7 @@ def verify_self_similar(traj, lambdas, window, gamma=0.0):
                         continue
                     resid = np.abs(vb - va)[mask].max()
                 out[name] = max(out[name], float(resid / scale))
-    return out
+    return SelfSimilarResidual(out, pairs)
 
 
 @dataclass

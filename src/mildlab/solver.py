@@ -6,7 +6,8 @@ The map adds its nine integral terms, evaluated by the matched singular
 rules, in place to the caloric trajectory of ``caloric_extension``.
 Integrand spectra are formed once per stored time (with every
 lag-independent factor applied) on the 2/3-dealiased modes; the map is
-linear in them, through one weight matrix per output time and rule group.
+linear in them, through one weight matrix per output time for each group
+of terms that share rule exponents and damping.
 """
 
 import math
@@ -24,8 +25,9 @@ from .duhamel import (QuadratureRule, rule_exponents, bilinear_constant_bound,
                       linear_constant_bound, ConstantsTable, ForceField, ALL_TAGS)
 from .admissibility import check_admissible
 
-_RULE_GROUPS = (("B141",), ("B112", "B113"), ("B242",), ("B212",), ("B343",),
-                ("B444",), ("L3",), ("L4",))
+#: the component of the trajectory each Duhamel term is added to
+_TARGETS = {"B141": "n", "B112": "n", "B113": "n", "B242": "c", "B212": "c",
+            "B343": "v", "L3": "v", "B444": "u", "L4": "u"}
 
 
 @dataclass
@@ -108,12 +110,12 @@ def caloric_extension(data, gamma, time_grid):
     return traj
 
 
-def _integrand_store(traj, force, have_force):
-    """Contracted integrand spectra of every bilinear term and L4, flattened
-    to the 2/3-dealiased modes (every other mode of a dealiased product is
-    exactly zero) and stacked per stored time as (T, [dim,] modes); the
-    physical transforms are shared across tags.  L3 is the cell density
-    itself, kept on every mode as (T, all modes)."""
+def _integrand_store(traj, force):
+    """Contracted integrand spectra of every bilinear term and, given a
+    force, L4, flattened to the 2/3-dealiased modes (every other mode of a
+    dealiased product is exactly zero) and stacked per stored time as
+    (T, [dim,] modes); the physical transforms are shared across tags.  L3
+    is the cell density itself, kept on every mode as (T, all modes)."""
     grid = traj.grid
     dim = grid.dim
     t_count = len(traj)
@@ -123,9 +125,9 @@ def _integrand_store(traj, force, have_force):
     store = {tag: np.empty((t_count, keep.size), dtype=complex)
              for tag in ("B141", "B112", "B113", "B242", "B212", "B343")}
     store["B444"] = np.empty((t_count, dim, keep.size), dtype=complex)
-    if have_force:
+    if force is not None:
         store["L4"] = np.empty((t_count, dim, keep.size), dtype=complex)
-    f_phys = force.f.to_physical() if have_force else None
+        f_phys = force.f.to_physical()
 
     def packed(values):
         return grid.forward(values).reshape(-1)[keep]
@@ -155,7 +157,7 @@ def _integrand_store(traj, force, have_force):
         uu = {(l, j): packed(u_phys[l] * u_phys[j]) for l in range(dim) for j in range(l, dim)}
         project([div_contract(uu[min(l, j), max(l, j)] for l in range(dim))
                  for j in range(dim)], store["B444"][kk])
-        if have_force:
+        if force is not None:
             project([-packed(n_phys * f_phys[j]) for j in range(dim)], store["L4"][kk])
     store["L3"] = traj.n.reshape(t_count, -1)
     return store
@@ -189,9 +191,10 @@ def picard_map(traj, data, config):
     plus the seven bilinear and two linear Duhamel terms of the input
     trajectory.  The caloric rows come from ``caloric_extension``, and the
     Duhamel terms are added into that trajectory's arrays in place, so no
-    second trajectory is ever held in memory.  Per output time and rule
-    group, one weight matrix over (stored time, heat shell) carries the
-    whole quadrature, and each tag's stored stack is contracted once.
+    second trajectory is ever held in memory.  Terms that share rule
+    exponents (a, b) and damping (gamma on v, else 0) share one weight
+    matrix over (stored time, heat shell) per output time; each term
+    contracts its own stack with the columns of its modes' shells.
     """
     grid = config.grid
     times = config.time_grid.times
@@ -201,38 +204,37 @@ def picard_map(traj, data, config):
     if defect > 1e-8:
         raise ValueError(f"velocity along the trajectory is not solenoidal "
                          f"(defect {defect:.2e})")
-    have_force = config.force is not None and \
-        any(np.abs(c.coeffs).any() for c in config.force.f.components)
-    store = _integrand_store(traj, config.force, have_force)
+    force = config.force
+    if force is not None and not any(np.abs(c.coeffs).any() for c in force.f.components):
+        force = None
+    store = _integrand_store(traj, force)
     rules = config.rules()
-    k2 = grid.k2
-    zero_idx = (0,) * grid.dim
-    dim = grid.dim
-    # (shell values, shell of each stored mode, stored modes): the products
-    # are stored on the dealiased modes, L3 on every mode
+    # exponents agree to round-off where beta_arguments reaches one value by
+    # different sums (B444 and L4 at (N, p, q, r) = (3, 5, 2.5, 4)); such a
+    # group integrates with the rule of its last term
+    group_of = {tag: (round(rules[tag].a, 12), round(rules[tag].b, 12),
+                      config.gamma if _TARGETS[tag] == "v" else 0.0) for tag in store}
+    rule_of = {key: rules[tag] for tag, key in group_of.items()}
+    k2_shells, shell_of = np.unique(grid.k2.reshape(-1), return_inverse=True)
+    # L3's stack spans every mode, the products' the dealiased modes
     dealiased = np.flatnonzero(grid.dealias_mask)
-    product_shells = np.unique(k2.reshape(-1)[dealiased], return_inverse=True) + (dealiased,)
-    all_shells = np.unique(k2.reshape(-1), return_inverse=True) + (slice(None),)
+    modes = {tag: slice(None) if stack.shape[-1] == grid.k2.size else dealiased
+             for tag, stack in store.items()}
+    columns = {tag: shell_of[m] for tag, m in modes.items()}
 
     out = caloric_extension(data, config.gamma, config.time_grid)
-    n_flat, c_flat, v_flat = (a.reshape(len(times), -1) for a in (out.n, out.c, out.v))
-    u_flat = out.u.reshape(len(times), dim, -1)
-    target = {"B141": n_flat, "B112": n_flat, "B113": n_flat, "B242": c_flat,
-              "B212": c_flat, "B343": v_flat, "L3": v_flat, "B444": u_flat, "L4": u_flat}
-
+    # (T, [dim,] modes) views of the output components
+    flat = {name: a.reshape(a.shape[:-grid.dim] + (-1,))
+            for name, a in (("n", out.n), ("c", out.c), ("v", out.v), ("u", out.u))}
     for kk, t in enumerate(times):
-        for group in _RULE_GROUPS:
-            if group[0] == "L4" and not have_force:
-                continue
-            gamma_eff = config.gamma if group[0] in ("B343", "L3") else 0.0
-            k2_shells, shell_of, modes = all_shells if group[0] == "L3" else product_shells
-            weights = _duhamel_weights(t, rules[group[0]], gamma_eff, times, k2_shells)
-            per_mode = weights[:, shell_of]
-            for tag in group:
-                target[tag][kk][..., modes] += np.einsum(
-                    "jm,j...m->...m", per_mode, store[tag][:len(per_mode)])
-        # the attractant is defined modulo constants: pin its zero mode
-        out.v[(kk,) + zero_idx] = 0.0
+        weights = {key: _duhamel_weights(t, rule, key[2], times, k2_shells)
+                   for key, rule in rule_of.items()}
+        for tag, stack in store.items():
+            per_mode = weights[group_of[tag]][:, columns[tag]]
+            flat[_TARGETS[tag]][kk][..., modes[tag]] += np.einsum(
+                "jm,j...m->...m", per_mode, stack[:len(per_mode)])
+    # the attractant is defined modulo constants: pin its zero mode
+    out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out
 
 
@@ -329,9 +331,7 @@ def measured_constants(config, n_fields=None, seed=1234):
                                       derivative=deriv, n_fields=n_fields, seed=seed,
                                       sampling=config.sampling)
         if name in ("alpha", "beta"):
-            factor = linear_constant_bound(name, exps,
-                                           config.force if name == "beta" else None)
-            out[name] = c_smooth * factor
+            out[name] = c_smooth * linear_constant_bound(name, exps, config.force)
         else:
             out[name] = c_smooth * bilinear_constant_bound(name, exps)
     return out
@@ -342,8 +342,6 @@ def smallness_check(data, config, n_fields=None, seed=1234):
     contraction numbers K1/K2, epsilon = 1/(8 K1 K2), the measured caloric
     extension constant C0, delta = epsilon/C0, and the data verdict."""
     consts = measured_constants(config, n_fields=n_fields, seed=seed)
-    bil = {name: consts[name] for name in
-           ("C1", "C2", "C3", "C4_1", "C4_2", "C5_1", "C5_2", "C6", "C7")}
     norm_data = data_norm_I(data, config.exps, time_grid=config.time_grid,
                             sampling=config.sampling)
     if norm_data == 0.0:
@@ -351,5 +349,5 @@ def smallness_check(data, config, n_fields=None, seed=1234):
     else:
         caloric = caloric_extension(data, config.gamma, config.time_grid)
         c0 = x_space_norms(caloric, config.exps, config.sampling).total / norm_data
-    return ConstantsTable.assemble(bil, consts["alpha"], consts["beta"], c0,
+    return ConstantsTable.assemble(consts, consts["alpha"], consts["beta"], c0,
                                    data_norm=norm_data)

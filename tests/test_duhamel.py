@@ -224,8 +224,8 @@ def _map_config(time_grid, grid, gamma=0.0, force=None):
 def test_bilinear_zero_argument_gives_zero(caloric_setup):
     traj, _, force = caloric_setup
     tags = ("B141", "B112", "B113", "B212", "L3", "L4")
-    full = _integrand_store(traj, force, True)
-    store = _integrand_store(scaled(traj, n=0.0), force, True)
+    full = _integrand_store(traj, force)
+    store = _integrand_store(scaled(traj, n=0.0), force)
     for tag in tags:
         assert np.abs(full[tag]).max() > 0, tag
         assert np.abs(store[tag]).max() == 0.0, tag
@@ -234,15 +234,15 @@ def test_bilinear_zero_argument_gives_zero(caloric_setup):
 def test_bilinear_scaling_in_each_slot(caloric_setup):
     traj, _, _ = caloric_setup
     lam = 3.0
-    base = _integrand_store(traj, None, False)["B141"]
+    base = _integrand_store(traj, None)["B141"]
     for slot in ("n", "u"):
-        stack = _integrand_store(scaled(traj, **{slot: lam}), None, False)["B141"]
+        stack = _integrand_store(scaled(traj, **{slot: lam}), None)["B141"]
         assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slot
 
 
 def test_b444_divergence_free(caloric_setup):
     traj, _, _ = caloric_setup
-    stack = unpacked(traj.grid, _integrand_store(traj, None, False)["B444"])
+    stack = unpacked(traj.grid, _integrand_store(traj, None)["B444"])
     assert np.abs(stack).max() > 0
     assert divergence_defects(traj.grid, stack).max() < 1e-12
 

@@ -1,20 +1,18 @@
 """Self-similarity residuals, decay-rate fits, and the stability probe."""
 
-import math
-
 import numpy as np
 import pytest
 
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, VectorField
-from mildlab.fields import (gaussian, solenoidal_gaussian, homogeneous_scalar,
-                            azimuthal_homogeneous_velocity, bump)
+from mildlab.fields import (gaussian, homogeneous_scalar, azimuthal_homogeneous_velocity,
+                            bump)
 from mildlab.state import StateTuple, Trajectory
-from mildlab.solver import SolverConfig, caloric_extension, picard_solve
+from mildlab.solver import caloric_extension
 from mildlab.experiments import (SelfSimilarWindow, verify_self_similar, fit_decay_rate,
-                                 tail_decreasing, asymptotic_stability_run, DecayFit)
+                                 tail_decreasing, asymptotic_stability_run)
 
-from conftest import exponents_2d, gaussian_data, scale_data
+from conftest import exponents_2d
 
 
 def homogeneous_data_2d(grid, amplitude=0.02):
@@ -50,7 +48,7 @@ def test_lambda_one_residual_exactly_zero():
     traj = caloric_extension(data, 0.0, tg)
     window = SelfSimilarWindow(4 * grid.spacing, grid.box_half_width / 2.0)
     out = verify_self_similar(traj, [1], window)
-    assert all(v == 0.0 for v in out.values())
+    assert all(v == 0.0 for v in out.per_component.values())
 
 
 def test_caloric_residual_small_for_scaling_data():
@@ -64,7 +62,19 @@ def test_caloric_residual_small_for_scaling_data():
     window = SelfSimilarWindow(8 * h, grid.box_half_width / 4.0,
                                t_min=64 * h ** 2, t_max=grid.box_half_width ** 2 / 16.0)
     out = verify_self_similar(traj, [2], window)
-    assert max(out.values()) < 1e-2, out
+    assert max(out.per_component.values()) < 1e-2, out
+
+
+@pytest.mark.parametrize("ratio, pairs", [(4 ** (1 / 8), 7), (1.175, 0)])
+def test_self_similar_counts_compared_time_pairs(ratio, pairs):
+    # lambda = 2 compares t with 4 t: eight steps of the ratio 4^(1/8), no
+    # stored time for the ratio 1.175 (4 t falls 8.59 steps on)
+    grid = Grid(2, 32, 4.0)
+    tg = TimeGrid(0.01, ratio, 16)
+    traj = caloric_extension(homogeneous_data_2d(grid), 0.0, tg)
+    window = SelfSimilarWindow(4 * grid.spacing, grid.box_half_width / 2.0,
+                               t_min=tg.times[1], t_max=tg.times[-1])
+    assert verify_self_similar(traj, [2], window).pairs == pairs
 
 
 def test_fit_exact_power_law():

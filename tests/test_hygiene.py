@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package, and no test module, imports a
+name it never uses.
 
 No linter ships with the toolchain, so the check reads each module's
 syntax tree: every name an ``import`` binds must be read somewhere in the
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mildlab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "mildlab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -28,7 +30,8 @@ def unused_imports(source):
 
 
 def test_check_flags_an_unused_import():
-    assert "solver.py" in {path.name for path in SOURCES}
+    found = {(path.parent.name, path.name) for path in SOURCES}
+    assert {("mildlab", "solver.py"), ("tests", "test_hygiene.py")} <= found
     assert unused_imports("import math\nimport os\nos.getcwd()\n") == [(1, "math")]
     assert unused_imports("from a import b as c, d\nd()\n") == [(1, "c")]
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import mildlab.norms as norms
 from mildlab.grids import Grid, TimeGrid
-from mildlab.spectral import SpectralField, gradient, heat_apply, rescale_field
+from mildlab.spectral import SpectralField, gradient, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
-from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, lattice_distances,
-                           morrey_norm, besov_morrey_norm_heat, besov_morrey_norm_lp,
+from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, morrey_norm,
+                           besov_morrey_norm_heat, besov_morrey_norm_lp,
                            x_space_norms, data_norm_I, data_norm_components,
                            smoothing_constant)
 from mildlab.state import StateTuple, Trajectory

@@ -11,8 +11,9 @@ import pytest
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat_apply, \
     leray_project, spectral_divergence_defect
-from mildlab.fields import gaussian, solenoidal_gaussian, radial_homogeneous_force
+from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
+from mildlab.admissibility import suggest_subindices
 from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS
 from mildlab.norms import x_space_norms
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
@@ -208,6 +209,39 @@ def test_picard_map_matches_per_node_reference(dim, m, gamma, force_amplitude):
         err = np.abs(getattr(mapped, name) - getattr(expected, name)).max()
         assert np.abs(duhamel).max() > 0
         assert err <= 1e-13 * np.abs(duhamel).max(), name
+
+
+@pytest.mark.parametrize("exps, groups", [
+    # {B141, B112, B113}, {B242}, {B212}, {B343, B444}, {L3, L4}
+    (exponents_2d(), 5),
+    (exponents_3d(), 5),
+    # the damped B343 and L3 split from B444 and L4
+    (exponents_2d(0.7), 7),
+    (exponents_3d(0.7), 7),
+    # {B141}, {B112, B113}, {B242}, {B212}, {B343}, {B444, L4}, {L3}
+    (suggest_subindices(3, 0.0, 5, 2.5, 4), 7),
+], ids=["2d", "3d", "2d-damped", "3d-damped", "3d-p5-q2.5-r4"])
+def test_picard_map_builds_one_weight_matrix_per_group(exps, groups, monkeypatch):
+    import mildlab.solver as solver
+
+    grid = Grid(exps.N, 8, 4.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 6)
+    force = ForceField(radial_homogeneous_force(grid, amplitude=0.5), exps.N1)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=tg, gamma=exps.gamma,
+                          quad_nodes=4, force=force)
+    data = gaussian_data(grid)
+    traj = caloric_extension(data, exps.gamma, tg)
+    built_at = []
+    build = solver._duhamel_weights
+
+    def counted(t, *args):
+        built_at.append(t)
+        return build(t, *args)
+
+    monkeypatch.setattr(solver, "_duhamel_weights", counted)
+    picard_map(traj, data, config)
+    # one build per group and output time
+    assert sorted(built_at) == sorted(list(tg.times) * groups)
 
 
 def test_picard_map_checks_every_stored_velocity(small_grid, small_config):

@@ -8,7 +8,7 @@ import pytest
 from mildlab.grids import Grid
 from mildlab.spectral import (SpectralField, VectorField, heat_apply, heat_grad_apply,
                               damped_heat_apply, leray_project, rescale_field,
-                              derivative, gradient, divergence,
+                              gradient, divergence,
                               spectral_divergence_defect, dealias)
 from mildlab.fields import (gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited,
                             bump)
