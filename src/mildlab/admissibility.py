@@ -2,7 +2,7 @@
 sub-indices, derived time weights, and the endpoint exponents of every
 singular time integral."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # relative slack for clauses designed to sit at equality
 _EQ_SLACK = 1e-9
@@ -30,7 +30,6 @@ class ExponentSet:
     q1: float
     r1: float
     N1: float
-    case_tag: str = field(default="", compare=False)
 
     def __post_init__(self):
         self.N = int(self.N)
@@ -159,10 +158,16 @@ def check_admissible(exps):
         if x <= 0 or y <= 0:
             failures.append(f"beta argument of {name} not positive: ({x:g}, {y:g})")
 
-    admissible = not failures
-    if admissible:
-        exps.case_tag = tag
-    return AdmissibilityReport(admissible, tag, failures, weights, betas)
+    return AdmissibilityReport(not failures, tag, failures, weights, betas)
+
+
+def require_admissible(exps):
+    """Raise ValueError naming every violated clause unless the exponents
+    are admissible."""
+    report = check_admissible(exps)
+    if not report.admissible:
+        raise ValueError("exponents are not admissible: "
+                         + "; ".join(report.failed_clauses))
 
 
 def _outer_case_ok(N, p, q, r):

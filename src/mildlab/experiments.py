@@ -115,18 +115,18 @@ class DecayFit:
     applicable: bool = True
 
 
-def _tail_indices(times, tail_points=10, min_points=8):
-    """Last tail_points entries, clipped to the top decade of t."""
+def _tail_indices(times):
+    """The last 10 entries, clipped to the top decade of t, but at least
+    the last 8."""
     times = np.asarray(times)
-    idx = np.arange(len(times))[-tail_points:]
-    in_decade = times[idx] >= times[-1] / 10.0
-    idx = idx[in_decade]
-    if len(idx) < min_points:
-        idx = np.arange(len(times))[-min_points:]
+    idx = np.arange(len(times))[-10:]
+    idx = idx[times[idx] >= times[-1] / 10.0]
+    if len(idx) < 8:
+        idx = np.arange(len(times))[-8:]
     return idx
 
 
-def fit_decay_rate(traj, component, exps, sampling=None, tail_points=10):
+def fit_decay_rate(traj, component, exps, sampling=None):
     """Least-squares slope of log norm vs log t on the tail, against the
     critical rate the weighted space predicts; the norm is the weighted
     series of ``x_space_norms`` times t^predicted."""
@@ -135,7 +135,7 @@ def fit_decay_rate(traj, component, exps, sampling=None, tail_points=10):
     if predicted is None:
         raise ValueError(f"no predicted rate for component {component!r}")
     weighted = x_space_norms(traj, exps, sampling).series[component]
-    idx = _tail_indices(traj.times, tail_points)
+    idx = _tail_indices(traj.times)
     tail = weighted[idx] * traj.times[idx] ** predicted
     if np.any(tail <= 0) or not np.all(np.isfinite(tail)):
         return DecayFit(component, math.nan, predicted, math.nan, len(idx), applicable=False)
@@ -144,9 +144,10 @@ def fit_decay_rate(traj, component, exps, sampling=None, tail_points=10):
     return DecayFit(component, float(slope), float(predicted), float(deviation), len(idx))
 
 
-def tail_decreasing(times, series, rel_slack=1e-9):
-    """True when the series does not increase across the final decade of t
-    and ends below its start there (identically-zero tails pass)."""
+def tail_decreasing(times, series):
+    """True when the series does not increase (beyond 1e-9 of its max)
+    across the final decade of t and ends below its start there
+    (identically-zero tails pass)."""
     times = np.asarray(times)
     series = np.asarray(series)
     idx = times >= times[-1] / 10.0
@@ -155,7 +156,7 @@ def tail_decreasing(times, series, rel_slack=1e-9):
         return False
     if np.all(tail == 0.0):
         return True
-    floor = rel_slack * tail.max()
+    floor = 1e-9 * tail.max()
     steps_ok = np.all(tail[1:] <= tail[:-1] + floor)
     return bool(steps_ok and tail[-1] < tail[0])
 

@@ -56,6 +56,12 @@ def radial_envelope(grid, r_on, r_off):
     return 1.0 - smooth_step((r - r_on) / (r_off - r_on))
 
 
+def _homogeneous_envelope(grid):
+    """The cut-off of the homogeneous profiles: 1 inside 0.44 L, 0 from L/2."""
+    ell = grid.box_half_width
+    return radial_envelope(grid, 0.44 * ell, 0.5 * ell)
+
+
 def bump(grid, radius, amplitude=1.0, center=None):
     """Compactly supported C-infinity bump of the given radius."""
     s = sum(d ** 2 for d in grid.displacement(center)) / radius ** 2
@@ -74,40 +80,35 @@ def mollify(field, sigma):
     return heat_apply(field, 0.5 * sigma ** 2)
 
 
-def homogeneous_scalar(grid, degree, amplitude=1.0, sigma_cells=2.0,
-                       envelope_on=0.44, envelope_off=0.5, angular=None):
+def homogeneous_scalar(grid, degree, amplitude=1.0, sigma_cells=2.0, angular=None):
     """Mollified, enveloped sample of amplitude * |x|^degree.
 
     The raw profile is sampled with the radius floored at half a cell,
     mollified at sigma_cells grid cells, and truncated by a smooth radial
-    envelope between envelope_on*L and envelope_off*L.  ``angular`` may
-    supply a degree-0 directional factor, called as angular(grid, r_soft).
+    envelope between 0.44 L and L/2.  ``angular`` may supply a degree-0
+    directional factor, called as angular(grid, r_soft).
     """
     h = grid.spacing
-    ell = grid.box_half_width
     r = grid.radius()
     r_soft = np.maximum(r, 0.5 * h)
     vals = amplitude * r_soft ** degree
     if angular is not None:
         vals = vals * angular(grid, r_soft)
-    vals = vals * radial_envelope(grid, envelope_on * ell, envelope_off * ell)
+    vals = vals * _homogeneous_envelope(grid)
     field = SpectralField.from_physical(grid, vals)
     return mollify(field, sigma_cells * h)
 
 
-def azimuthal_homogeneous_velocity(grid, amplitude=1.0, sigma_cells=2.0,
-                                   envelope_on=0.44, envelope_off=0.5):
+def azimuthal_homogeneous_velocity(grid, amplitude=1.0, sigma_cells=2.0):
     """Degree -1 homogeneous velocity (-x2, x1, 0)/|x|^2, exactly solenoidal.
 
     Radial factors (core softening, envelope) preserve solenoidality of
     this azimuthal profile; a final projection removes grid round-off.
     """
     h = grid.spacing
-    ell = grid.box_half_width
     r = grid.radius()
     r_soft = np.maximum(r, 0.5 * h)
-    env = radial_envelope(grid, envelope_on * ell, envelope_off * ell)
-    base = amplitude * env / r_soft ** 2
+    base = amplitude * _homogeneous_envelope(grid) / r_soft ** 2
     comps = [-grid.x[1] * base, grid.x[0] * base]
     while len(comps) < grid.dim:
         comps.append(np.zeros(grid.shape))
@@ -116,15 +117,12 @@ def azimuthal_homogeneous_velocity(grid, amplitude=1.0, sigma_cells=2.0,
     return leray_project(u)
 
 
-def radial_homogeneous_force(grid, amplitude=1.0, sigma_cells=2.0,
-                             envelope_on=0.44, envelope_off=0.5):
+def radial_homogeneous_force(grid, amplitude=1.0, sigma_cells=2.0):
     """Degree -1 homogeneous force x/|x|^2, mollified and enveloped."""
     h = grid.spacing
-    ell = grid.box_half_width
     r = grid.radius()
     r_soft = np.maximum(r, 0.5 * h)
-    env = radial_envelope(grid, envelope_on * ell, envelope_off * ell)
-    base = amplitude * env / r_soft ** 2
+    base = amplitude * _homogeneous_envelope(grid) / r_soft ** 2
     comps = [xi * base for xi in grid.x]
     f = VectorField.from_physical(grid, comps)
     return mollify(f, sigma_cells * h)
@@ -167,19 +165,18 @@ def exact_radial_force(grid, amplitude=1.0, sigma_cells=2.0):
     return VectorField.from_physical(grid, [xi * p for xi in grid.x])
 
 
-def random_band_limited(grid, seed, corr_cells=4.0, amplitude=1.0, zero_mean=True):
-    """Smooth random field: white noise filtered by a Gaussian spectrum,
-    normalized to the requested peak amplitude."""
+def random_band_limited(grid, seed, corr_cells=4.0):
+    """Smooth random field of zero mean: white noise filtered by a Gaussian
+    spectrum, normalized to peak amplitude 1."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
     field = SpectralField.from_physical(grid, noise)
     xi_c = 2.0 * np.pi / (corr_cells * grid.spacing)
     k_cut = 0.75 * np.pi / grid.spacing
     coeffs = field.coeffs * np.exp(-grid.k2 / xi_c ** 2) * (grid.k2 < k_cut ** 2)
-    if zero_mean:
-        coeffs[(0,) * grid.dim] = 0.0
+    coeffs[(0,) * grid.dim] = 0.0
     out = SpectralField(grid, coeffs)
     peak = np.abs(out.to_physical()).max()
     if peak > 0:
-        out = out * (amplitude / peak)
+        out = out * (1.0 / peak)
     return out

@@ -122,9 +122,9 @@ class TimeGrid:
         return cls(t_min, ratio, count)
 
     @classmethod
-    def default_for(cls, grid, count=64):
-        """Resolvable diffusion scales of the grid: [h^2, L^2]."""
-        return cls.spanning(grid.spacing ** 2, grid.box_half_width ** 2, count)
+    def default_for(cls, grid):
+        """64 times over the resolvable diffusion scales of the grid: [h^2, L^2]."""
+        return cls.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 64)
 
     def __len__(self):
         return self.count

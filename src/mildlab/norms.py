@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .admissibility import require_admissible
 from .grids import TimeGrid
 from .spectral import SpectralField, VectorField, heat_apply
 from .fields import smooth_step
@@ -188,22 +189,15 @@ class LittlewoodPaleyBank:
 
     chi is 1 on [0, 3/2] and supported in [0, 5/3); the blocks
     phi_j(xi) = chi(2^-j |xi|) - chi(2^(1-j) |xi|) telescope to 1 on the
-    annuli the window [j_min, j_max] covers.
+    annuli the window [j_min, j_max] covers, one block past the grid's
+    lowest and highest nonzero frequency on each side.
     """
 
-    def __init__(self, grid, j_min=None, j_max=None):
+    def __init__(self, grid):
         self.grid = grid
         k = np.sqrt(grid.k2)
-        k_min = float(np.pi / grid.box_half_width)
-        k_max = float(k.max())
-        if j_min is None:
-            j_min = math.floor(math.log2(k_min)) - 1
-        if j_max is None:
-            j_max = math.ceil(math.log2(k_max)) + 1
-        if j_max <= j_min:
-            raise ValueError("empty block window")
-        self.j_min = int(j_min)
-        self.j_max = int(j_max)
+        self.j_min = math.floor(math.log2(np.pi / grid.box_half_width)) - 1
+        self.j_max = math.ceil(math.log2(k.max())) + 1
         self._absk = k
 
     @staticmethod
@@ -282,12 +276,7 @@ def x_space_norms(traj, exps, sampling=None):
 def data_norm_I(data, exps, time_grid=None, sampling=None):
     """Norm of the initial 4-tuple: Besov-Morrey pieces by the heat
     characterization plus the sup norm of the oxygen component."""
-    from .admissibility import check_admissible
-
-    report = check_admissible(exps)
-    if not report.admissible:
-        raise ValueError("exponents are not admissible: "
-                         + "; ".join(report.failed_clauses))
+    require_admissible(exps)
     parts = data_norm_components(data, exps, time_grid=time_grid, sampling=sampling)
     return float(sum(parts.values()))
 
@@ -318,14 +307,14 @@ _SMOOTHING_CACHE_SIZE = 256
 _SMOOTHING_CACHE = {}
 
 
-def smoothing_constant(grid, src_idx, dst_idx, derivative=False, time_grid=None,
-                       n_fields=8, seed=1234, sampling=None):
+def smoothing_constant(grid, src_idx, dst_idx, derivative=False, n_fields=8, seed=1234,
+                       sampling=None):
     """Measured constant of the heat smoothing estimate
     ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over random fields.
 
-    The sup ratio over a default 4-decade time grid and the field
-    ensemble; cached per (grid geometry, ball sampling, index, ensemble)
-    signature.
+    The sup ratio over 17 geometric times from h^2 to min(L^2, 1e4 h^2)
+    and the field ensemble; cached per (grid geometry, ball sampling,
+    index, ensemble) signature.
     """
     if not dst_idx.is_sup:
         if dst_idx.p < src_idx.p - 1e-12 or \
@@ -335,17 +324,14 @@ def smoothing_constant(grid, src_idx, dst_idx, derivative=False, time_grid=None,
     if sampling is None:
         sampling = BallSampling.default_for(grid)
     key = ((grid.dim, grid.m, grid.box_half_width), (sampling.center_stride, sampling.radii),
-           src_idx.p, src_idx.p1, dst_idx.p, dst_idx.p1, derivative, n_fields, seed,
-           None if time_grid is None else (time_grid.t0, time_grid.ratio, time_grid.count))
+           src_idx.p, src_idx.p1, dst_idx.p, dst_idx.p1, derivative, n_fields, seed)
     if key in _SMOOTHING_CACHE:
         return _SMOOTHING_CACHE[key]
     from .fields import random_band_limited
     from .spectral import gradient
 
-    if time_grid is None:
-        h2 = grid.spacing ** 2
-        t_max = min(grid.box_half_width ** 2, h2 * 1e4)
-        time_grid = TimeGrid.spanning(h2, t_max, 17)
+    h2 = grid.spacing ** 2
+    time_grid = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17)
     N = grid.dim
     if dst_idx.is_sup:
         power = N / (2.0 * src_idx.p)

@@ -21,9 +21,9 @@ from .state import StateTuple, Trajectory
 from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
     spectral_divergence_defect, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
-from .duhamel import (QuadratureRule, rule_exponents, bilinear_constant_bound,
-                      linear_constant_bound, ConstantsTable, ForceField, ALL_TAGS)
-from .admissibility import check_admissible
+from .duhamel import QuadratureRule, rule_exponents, constant_bound, ConstantsTable, \
+    ForceField, ALL_TAGS
+from .admissibility import require_admissible
 
 #: the component of the trajectory each Duhamel term is added to
 _TARGETS = {"B141": "n", "B112": "n", "B113": "n", "B242": "c", "B212": "c",
@@ -50,15 +50,23 @@ class SolverConfig:
         if self.force is not None and not self.grid.compatible(self.force.grid):
             raise ValueError(f"force lives on {self.force.grid!r}, "
                              f"not on the solver grid {self.grid!r}")
-        report = check_admissible(self.exps)
-        if not report.admissible:
-            raise ValueError("exponents are not admissible: "
-                             + "; ".join(report.failed_clauses))
+        if self.gamma != self.exps.gamma:
+            raise ValueError(f"config gamma = {self.gamma:g} differs from the exponent "
+                             f"set's gamma = {self.exps.gamma:g}")
+        require_admissible(self.exps)
 
     def rules(self):
-        return {tag: QuadratureRule(*rule_exponents(tag, self.exps),
-                                    node_count=self.quad_nodes)
-                for tag in ALL_TAGS}
+        """The Gauss-Jacobi rule of every tag, one object per distinct weight.
+        Exponents are compared rounded to 12 decimals, because
+        ``beta_arguments`` reaches one value by different float sums (B444
+        and L4 at (N, p, q, r) = (3, 5, 2.5, 4)); a shared rule has the
+        exponents of the last of its tags in ``ALL_TAGS`` order."""
+        exponents = {tag: rule_exponents(tag, self.exps) for tag in ALL_TAGS}
+        key_of = {tag: (round(a, 12), round(b, 12)) for tag, (a, b) in exponents.items()}
+        last_of = {key: tag for tag, key in key_of.items()}
+        shared = {key: QuadratureRule(*exponents[tag], node_count=self.quad_nodes)
+                  for key, tag in last_of.items()}
+        return {tag: shared[key] for tag, key in key_of.items()}
 
 
 @dataclass
@@ -191,8 +199,8 @@ def picard_map(traj, data, config):
     plus the seven bilinear and two linear Duhamel terms of the input
     trajectory.  The caloric rows come from ``caloric_extension``, and the
     Duhamel terms are added into that trajectory's arrays in place, so no
-    second trajectory is ever held in memory.  Terms that share rule
-    exponents (a, b) and damping (gamma on v, else 0) share one weight
+    second trajectory is ever held in memory.  Terms that share a rule of
+    ``config.rules()`` and damping (gamma on v, else 0) share one weight
     matrix over (stored time, heat shell) per output time; each term
     contracts its own stack with the columns of its modes' shells.
     """
@@ -209,12 +217,8 @@ def picard_map(traj, data, config):
         force = None
     store = _integrand_store(traj, force)
     rules = config.rules()
-    # exponents agree to round-off where beta_arguments reaches one value by
-    # different sums (B444 and L4 at (N, p, q, r) = (3, 5, 2.5, 4)); such a
-    # group integrates with the rule of its last term
-    group_of = {tag: (round(rules[tag].a, 12), round(rules[tag].b, 12),
-                      config.gamma if _TARGETS[tag] == "v" else 0.0) for tag in store}
-    rule_of = {key: rules[tag] for tag, key in group_of.items()}
+    group_of = {tag: (rules[tag], config.gamma if _TARGETS[tag] == "v" else 0.0)
+                for tag in store}
     k2_shells, shell_of = np.unique(grid.k2.reshape(-1), return_inverse=True)
     # L3's stack spans every mode, the products' the dealiased modes
     dealiased = np.flatnonzero(grid.dealias_mask)
@@ -227,8 +231,8 @@ def picard_map(traj, data, config):
     flat = {name: a.reshape(a.shape[:-grid.dim] + (-1,))
             for name, a in (("n", out.n), ("c", out.c), ("v", out.v), ("u", out.u))}
     for kk, t in enumerate(times):
-        weights = {key: _duhamel_weights(t, rule, key[2], times, k2_shells)
-                   for key, rule in rule_of.items()}
+        weights = {key: _duhamel_weights(t, *key, times, k2_shells)
+                   for key in set(group_of.values())}
         for tag, stack in store.items():
             per_mode = weights[group_of[tag]][:, columns[tag]]
             flat[_TARGETS[tag]][kk][..., modes[tag]] += np.einsum(
@@ -314,34 +318,27 @@ def _smoothing_pairs(exps):
     return pairs
 
 
-def measured_constants(config, n_fields=None, seed=1234):
+def measured_constants(config, n_fields=None):
     """Empirical smoothing constants times the exact beta factors, for
-    every operator constant of the map."""
-    exps = config.exps
+    every operator constant of the map; a constant whose beta factor is 0
+    (beta without a force) is 0 without a measurement."""
     grid = config.grid
     if n_fields is None:
         n_fields = 8 if grid.dim == 2 else 5
-    pairs = _smoothing_pairs(exps)
     out = {}
-    for name, (sp, sp1, dp, dp1, deriv) in pairs.items():
-        if name == "beta" and config.force is None:
-            out[name] = 0.0
-            continue
-        c_smooth = smoothing_constant(grid, MorreyIndex(sp, sp1), MorreyIndex(dp, dp1),
-                                      derivative=deriv, n_fields=n_fields, seed=seed,
-                                      sampling=config.sampling)
-        if name in ("alpha", "beta"):
-            out[name] = c_smooth * linear_constant_bound(name, exps, config.force)
-        else:
-            out[name] = c_smooth * bilinear_constant_bound(name, exps)
+    for name, (sp, sp1, dp, dp1, deriv) in _smoothing_pairs(config.exps).items():
+        bound = constant_bound(name, config.exps, config.force)
+        out[name] = 0.0 if bound == 0.0 else bound * smoothing_constant(
+            grid, MorreyIndex(sp, sp1), MorreyIndex(dp, dp1), derivative=deriv,
+            n_fields=n_fields, sampling=config.sampling)
     return out
 
 
-def smallness_check(data, config, n_fields=None, seed=1234):
+def smallness_check(data, config, n_fields=None):
     """Assemble the constants table: measured C1..C7, alpha, beta, the
     contraction numbers K1/K2, epsilon = 1/(8 K1 K2), the measured caloric
     extension constant C0, delta = epsilon/C0, and the data verdict."""
-    consts = measured_constants(config, n_fields=n_fields, seed=seed)
+    consts = measured_constants(config, n_fields=n_fields)
     norm_data = data_norm_I(data, config.exps, time_grid=config.time_grid,
                             sampling=config.sampling)
     if norm_data == 0.0:
@@ -349,5 +346,4 @@ def smallness_check(data, config, n_fields=None, seed=1234):
     else:
         caloric = caloric_extension(data, config.gamma, config.time_grid)
         c0 = x_space_norms(caloric, config.exps, config.sampling).total / norm_data
-    return ConstantsTable.assemble(consts, consts["alpha"], consts["beta"], c0,
-                                   data_norm=norm_data)
+    return ConstantsTable.assemble(consts, c0, data_norm=norm_data)

@@ -12,14 +12,13 @@ from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_hea
                               gradient, divergence, dealias, divergence_defects)
 from mildlab.fields import gaussian, solenoidal_gaussian, random_band_limited
 from mildlab.state import StateTuple, Trajectory
-from mildlab.admissibility import ExponentSet
-from mildlab.duhamel import (beta_function, QuadratureRule, rule_exponents,
-                             bilinear_constant_bound, linear_constant_bound, ForceField,
-                             ConstantsTable, ALL_TAGS)
+from mildlab.admissibility import ExponentSet, beta_arguments
+from mildlab.duhamel import (beta_function, QuadratureRule, rule_exponents, constant_bound,
+                             ForceField, ConstantsTable, ALL_TAGS)
 from mildlab.norms import MorreyIndex, morrey_norm, smoothing_constant, x_space_norms
 from mildlab.solver import SolverConfig, _duhamel_weights, _integrand_store, picard_map
 
-from conftest import integrand_spectrum, node_quadrature
+from conftest import exponents_2d, exponents_3d, integrand_spectrum, node_quadrature
 
 
 def worked_3d():
@@ -134,29 +133,48 @@ def test_quadrature_convergence_on_smooth_integrand():
 def test_bilinear_constant_examples():
     # C1 for (N, p, q) = (3, 4, 3) and C7 for (N, p) = (3, 4)
     exps = worked_3d()
-    assert abs(bilinear_constant_bound("C1", exps) - beta_function(1 / 8, 3 / 8)) < 1e-12
-    assert abs(bilinear_constant_bound("C7", exps) - beta_function(1 / 8, 3 / 4)) < 1e-12
-    assert abs(bilinear_constant_bound("C4", exps)
+    assert abs(constant_bound("C1", exps) - beta_function(1 / 8, 3 / 8)) < 1e-12
+    assert abs(constant_bound("C7", exps) - beta_function(1 / 8, 3 / 4)) < 1e-12
+    assert abs(constant_bound("C4_1", exps) + constant_bound("C4_2", exps)
                - (beta_function(1 / 8, 7 / 8) + beta_function(1 / 8, 3 / 4))) < 1e-12
 
 
 def test_boundary_exponent_rejected_with_argument():
     e = ExponentSet(N=3, gamma=0.0, p=3, q=3, r=4, p1=3, q1=3, r1=4, N1=3)
     with pytest.raises(ValueError, match="beta argument"):
-        bilinear_constant_bound("C1", e)
+        constant_bound("C1", e)
 
 
 def test_linear_constant_examples():
     exps = worked_3d()
-    assert abs(linear_constant_bound("L3", exps) - beta_function(3 / 8, 1 / 2)) < 1e-12
+    assert abs(constant_bound("alpha", exps) - beta_function(3 / 8, 1 / 2)) < 1e-12
     grid = Grid(2, 16, 4.0)
     zero = ForceField(VectorField.zero(grid), n1=2.0)
-    assert linear_constant_bound("L4", exps_2d(), zero) == 0.0
+    assert constant_bound("beta", exps_2d(), zero) == 0.0
     f1 = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=1.0), n1=2.0)
     f2 = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=2.0), n1=2.0)
-    b1 = linear_constant_bound("L4", exps_2d(), f1)
-    b2 = linear_constant_bound("L4", exps_2d(), f2)
+    b1 = constant_bound("beta", exps_2d(), f1)
+    b2 = constant_bound("beta", exps_2d(), f2)
     assert abs(b2 - 2 * b1) < 1e-10 * b1
+
+
+def test_constant_bound_is_the_beta_factor_of_every_constant():
+    grid = Grid(2, 16, 4.0)
+    force = ForceField(solenoidal_gaussian(grid, a=1.0), n1=2.0)
+    for exps in (exponents_2d(), exponents_3d()):
+        for name, (x, y) in beta_arguments(exps).items():
+            expected = beta_function(x, y)
+            if name == "beta":
+                expected *= force.morrey_norm_N_N1
+            assert constant_bound(name, exps, force) == expected, name
+
+
+def test_constant_bound_without_force_and_unknown_name():
+    assert constant_bound("beta", exps_2d()) == 0.0
+    with pytest.raises(ValueError, match="'C4'"):
+        constant_bound("C4", exps_2d())
+    with pytest.raises(ValueError, match="'L3'"):
+        constant_bound("L3", exps_2d())
 
 
 def test_force_field_norm_cache_consistent():
@@ -167,14 +185,16 @@ def test_force_field_norm_cache_consistent():
 
 def test_constants_table_combination():
     exps = worked_3d()
-    bil = {name: bilinear_constant_bound(name, exps)
-           for name in ("C1", "C2", "C3", "C4_1", "C4_2", "C5_1", "C5_2", "C6", "C7")}
-    alpha = linear_constant_bound("L3", exps)
+    consts = {name: constant_bound(name, exps)
+              for name in ("C1", "C2", "C3", "C4_1", "C4_2", "C5_1", "C5_2", "C6", "C7")}
+    alpha = constant_bound("alpha", exps)
     beta = 0.3
-    table = ConstantsTable.assemble(bil, alpha, beta, c0=1.0, data_norm=0.0)
+    table = ConstantsTable.assemble({**consts, "alpha": alpha, "beta": beta},
+                                    c0=1.0, data_norm=0.0)
+    c = table.as_dict()
     assert abs(table.k1 - (1 + alpha + beta)) < 1e-14
-    expected_k2 = (alpha + beta) * (table.c1 + table.c2 + table.c3) + \
-        table.c1 + table.c2 + table.c3 + table.c4 + table.c5 + table.c6 + table.c7
+    expected_k2 = (alpha + beta) * (c["C1"] + c["C2"] + c["C3"]) + \
+        c["C1"] + c["C2"] + c["C3"] + c["C4"] + c["C5"] + c["C6"] + c["C7"]
     assert abs(table.k2 - expected_k2) < 1e-12
     assert abs(table.epsilon - 1 / (8 * table.k1 * table.k2)) < 1e-18
     assert table.small_enough
@@ -217,7 +237,7 @@ def unpacked(grid, packed):
 
 
 def _map_config(time_grid, grid, gamma=0.0, force=None):
-    return SolverConfig(exps=exps_2d(), grid=grid, time_grid=time_grid, gamma=gamma,
+    return SolverConfig(exps=exponents_2d(gamma), grid=grid, time_grid=time_grid, gamma=gamma,
                         quad_nodes=16, force=force)
 
 
@@ -303,7 +323,7 @@ def test_measured_operator_bound_b141(caloric_setup):
     pq = exps.p * exps.q / (exps.p + exps.q)
     c_smooth = smoothing_constant(grid, MorreyIndex(pq, s1),
                                   MorreyIndex(exps.q, exps.q1), derivative=True)
-    bound = c_smooth * bilinear_constant_bound("C1", exps) * rec.u_norm * rec.n_norm
+    bound = c_smooth * constant_bound("C1", exps) * rec.u_norm * rec.n_norm
     idx_q = MorreyIndex(exps.q, exps.q1)
     for k, t in enumerate(time_grid.times):
         weighted = t ** exps.l_q * morrey_norm(SpectralField(grid, out.n[k]), idx_q)

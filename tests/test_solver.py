@@ -244,6 +244,27 @@ def test_picard_map_builds_one_weight_matrix_per_group(exps, groups, monkeypatch
     assert sorted(built_at) == sorted(list(tg.times) * groups)
 
 
+@pytest.mark.parametrize("exps, distinct", [
+    (exponents_2d(), 5),
+    (exponents_3d(), 5),
+    (suggest_subindices(3, 0.0, 5, 2.5, 4), 7),
+], ids=["2d", "3d", "3d-p5-q2.5-r4"])
+def test_rules_share_one_object_per_weight(exps, distinct):
+    grid = Grid(exps.N, 8, 4.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 6)
+    rules = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=4).rules()
+    assert set(rules) == set(ALL_TAGS)
+    assert len({id(rule) for rule in rules.values()}) == distinct
+    # B444's a = 0.8 and L4's a = 0.7999999999999999 on the last set
+    assert (rules["B444"] is rules["L4"]) == (exps.p == 5)
+
+
+def test_config_rejects_gamma_other_than_the_exponents(small_grid, small_config):
+    with pytest.raises(ValueError, match=r"gamma = 0\.3 .*gamma = 0\b"):
+        SolverConfig(exps=exponents_2d(), grid=small_grid,
+                     time_grid=small_config.time_grid, gamma=0.3)
+
+
 def test_picard_map_checks_every_stored_velocity(small_grid, small_config):
     data = scale_data(gaussian_data(small_grid), 0.01)
     traj = caloric_extension(data, 0.0, small_config.time_grid)
@@ -334,7 +355,7 @@ def test_divergence_reported_for_large_data(small_grid, small_config):
 def test_constants_k1_reduces_to_one():
     bil = {name: 0.5 for name in ("C1", "C2", "C3", "C4_1", "C4_2", "C5_1", "C5_2",
                                   "C6", "C7")}
-    table = ConstantsTable.assemble(bil, alpha=0.0, beta=0.0, c0=1.0, data_norm=0.0)
+    table = ConstantsTable.assemble({**bil, "alpha": 0.0, "beta": 0.0}, c0=1.0, data_norm=0.0)
     assert table.k1 == 1.0
 
 
@@ -350,11 +371,16 @@ def test_doubling_force_doubles_beta(small_grid, small_config):
     c1 = measured_constants(cfg1, n_fields=3)
     c2 = measured_constants(cfg2, n_fields=3)
     assert abs(c2["beta"] - 2 * c1["beta"]) < 1e-9 * c1["beta"]
-    t1 = ConstantsTable.assemble({k: c1[k] for k in c1 if k not in ("alpha", "beta")},
-                                 c1["alpha"], c1["beta"], 1.0)
-    t2 = ConstantsTable.assemble({k: c2[k] for k in c2 if k not in ("alpha", "beta")},
-                                 c2["alpha"], c2["beta"], 1.0)
+    t1 = ConstantsTable.assemble(c1, 1.0)
+    t2 = ConstantsTable.assemble(c2, 1.0)
     assert t2.k1 > t1.k1 and t2.k2 > t1.k2
+
+
+def test_constants_table_entries(small_solve_2d):
+    # the names perfbench's TABLE_ENTRIES reads, and the data-dependent rest
+    assert set(small_solve_2d["table"].as_dict()) == {
+        "C1", "C2", "C3", "C4_1", "C4_2", "C4", "C5_1", "C5_2", "C5", "C6", "C7",
+        "alpha", "beta", "K1", "K2", "C0", "epsilon", "delta", "data_norm_I", "small_enough"}
 
 
 def test_smallness_zero_data(small_grid, small_config):
