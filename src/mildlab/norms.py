@@ -14,9 +14,12 @@ order of decreasing bound and convolved only while that bound, widened by
 1e-9 for FFT round-off, can still reach the best value found; the first
 radius that cannot ends the search.  No skipped radius could have raised
 the max, so the value is bit-identical to convolving every radius.
+
+One smoothing pass norms each evolved field once, as ``PhysicalValues``.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -119,12 +122,17 @@ def _ball_count(grid, radius):
     return cache[key]
 
 
+#: values already in physical space, with their grid: a field (or a vector
+#: field's magnitude) transformed once and normed more than once
+PhysicalValues = namedtuple("PhysicalValues", "grid values")
+
+
 def _as_values(field):
     if isinstance(field, VectorField):
         return field.magnitude()
     if isinstance(field, SpectralField):
         return field.to_physical()
-    return np.asarray(field, dtype=float)
+    return field.values
 
 
 def morrey_norm(field, idx, sampling=None):
@@ -307,50 +315,65 @@ _SMOOTHING_CACHE_SIZE = 256
 _SMOOTHING_CACHE = {}
 
 
-def smoothing_constant(grid, src_idx, dst_idx, derivative=False, n_fields=8, seed=1234,
-                       sampling=None):
-    """Measured constant of the heat smoothing estimate
-    ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over random fields.
+def smoothing_constant(grid, requests, n_fields=8, seed=1234, sampling=None):
+    """Measured constants of the heat smoothing estimates
+    ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over random fields,
+    for a mapping name -> (src index, dst index, derivative); returns
+    name -> constant.
 
-    The sup ratio over 17 geometric times from h^2 to min(L^2, 1e4 h^2)
-    and the field ensemble; cached per (grid geometry, ball sampling,
-    index, ensemble) signature.
+    Each is the sup ratio over 17 geometric times from h^2 to min(L^2,
+    1e4 h^2) and the field ensemble, cached per (grid geometry, ball
+    sampling, index, ensemble) signature.  Requests not cached share one
+    walk over the ensemble, which forms each evolved field, its values
+    and each distinct Morrey norm of them once.
     """
-    if not dst_idx.is_sup:
-        if dst_idx.p < src_idx.p - 1e-12 or \
-                dst_idx.p / dst_idx.p1 < src_idx.p / src_idx.p1 - 1e-12:
+    for src_idx, dst_idx, _ in requests.values():
+        if not dst_idx.is_sup and (dst_idx.p < src_idx.p - 1e-12 or
+                                   dst_idx.p / dst_idx.p1 < src_idx.p / src_idx.p1 - 1e-12):
             raise ValueError("smoothing estimate needs p >= q and p/p1 >= q/q1 "
                              f"(src {src_idx}, dst {dst_idx})")
     if sampling is None:
         sampling = BallSampling.default_for(grid)
-    key = ((grid.dim, grid.m, grid.box_half_width), (sampling.center_stride, sampling.radii),
-           src_idx.p, src_idx.p1, dst_idx.p, dst_idx.p1, derivative, n_fields, seed)
-    if key in _SMOOTHING_CACHE:
-        return _SMOOTHING_CACHE[key]
+    keys = {name: ((grid.dim, grid.m, grid.box_half_width),
+                   (sampling.center_stride, sampling.radii),
+                   src.p, src.p1, dst.p, dst.p1, derivative, n_fields, seed)
+            for name, (src, dst, derivative) in requests.items()}
+    found = {key: _SMOOTHING_CACHE[key] for key in keys.values() if key in _SMOOTHING_CACHE}
+    missing = {key: requests[name] for name, key in keys.items() if key not in found}
+    if missing:
+        for key, value in _smoothing_sups(grid, missing, n_fields, seed, sampling).items():
+            while len(_SMOOTHING_CACHE) >= _SMOOTHING_CACHE_SIZE:
+                del _SMOOTHING_CACHE[next(iter(_SMOOTHING_CACHE))]
+            _SMOOTHING_CACHE[key] = found[key] = float(value)
+    return {name: found[key] for name, key in keys.items()}
+
+
+def _smoothing_sups(grid, requests, n_fields, seed, sampling):
+    """The sup ratio of every request (key -> (src, dst, derivative)) over
+    one walk of the ensemble."""
     from .fields import random_band_limited
     from .spectral import gradient
 
     h2 = grid.spacing ** 2
     time_grid = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17)
     N = grid.dim
-    if dst_idx.is_sup:
-        power = N / (2.0 * src_idx.p)
-    else:
-        power = (N / 2.0) * (1.0 / src_idx.p - 1.0 / dst_idx.p)
-    if derivative:
-        power += 0.5
-    best = 0.0
+    power = {key: (N / (2.0 * src.p) if dst.is_sup else (N / 2.0) * (1.0 / src.p - 1.0 / dst.p))
+             + (0.5 if derivative else 0.0) for key, (src, dst, derivative) in requests.items()}
+    best = dict.fromkeys(requests, 0.0)
     for i in range(n_fields):
         f = random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
-        src_norm = morrey_norm(f, src_idx, sampling)
-        if src_norm == 0:
-            continue
+        f_values = PhysicalValues(grid, f.to_physical())
+        src_norm = {src: morrey_norm(f_values, src, sampling)
+                    for src in dict.fromkeys(src for src, _, _ in requests.values())}
+        live = {key: request for key, request in requests.items() if src_norm[request[0]] != 0}
+        targets = dict.fromkeys((dst, derivative) for _, dst, derivative in live.values())
         for t in time_grid.times:
             evolved = heat_apply(f, t)
-            target = gradient(evolved) if derivative else evolved
-            ratio = morrey_norm(target, dst_idx, sampling) / (t ** (-power) * src_norm)
-            best = max(best, ratio)
-    while len(_SMOOTHING_CACHE) >= _SMOOTHING_CACHE_SIZE:
-        del _SMOOTHING_CACHE[next(iter(_SMOOTHING_CACHE))]
-    _SMOOTHING_CACHE[key] = float(best)
-    return _SMOOTHING_CACHE[key]
+            values = {d: PhysicalValues(grid, _as_values(gradient(evolved) if d else evolved))
+                      for d in {derivative for _, derivative in targets}}
+            dst_norm = {(dst, derivative): morrey_norm(values[derivative], dst, sampling)
+                        for dst, derivative in targets}
+            for key, (src, dst, derivative) in live.items():
+                ratio = dst_norm[dst, derivative] / (t ** (-power[key]) * src_norm[src])
+                best[key] = max(best[key], ratio)
+    return best

@@ -5,9 +5,11 @@ trace, and the constant bookkeeping behind the smallness threshold.
 The map adds its nine integral terms, evaluated by the matched singular
 rules, in place to the caloric trajectory of ``caloric_extension``.
 Integrand spectra are formed once per stored time (with every
-lag-independent factor applied) on the 2/3-dealiased modes; the map is
-linear in them, through one weight matrix per output time for each group
-of terms that share rule exponents and damping.
+lag-independent factor applied) on the 2/3-dealiased modes, the cell
+fluxes that share a rule as one.  The map is linear in them, through one
+weight matrix per output time for each group of terms that share rule
+exponents and damping, on the heat shells the group reads.  The constants
+are measured in one pass over the smoothing ensemble.
 """
 
 import math
@@ -118,10 +120,11 @@ def caloric_extension(data, gamma, time_grid):
     return traj
 
 
-def _integrand_store(traj, force):
+def _integrand_store(traj, force, cell_fluxes):
     """Contracted integrand spectra of every bilinear term and, given a
-    force, L4, flattened to the 2/3-dealiased modes (every other mode of a
-    dealiased product is exactly zero) and stacked per stored time as
+    force, L4, keyed by tuples of tags (a group of ``cell_fluxes`` sums its
+    integrands), flattened to the 2/3-dealiased modes (every other mode of
+    a dealiased product is exactly zero) and stacked per stored time as
     (T, [dim,] modes); the physical transforms are shared across tags.  L3
     is the cell density itself, kept on every mode as (T, all modes)."""
     grid = traj.grid
@@ -130,11 +133,11 @@ def _integrand_store(traj, force):
     keep = np.flatnonzero(grid.dealias_mask)
     k = [np.broadcast_to(ki, grid.kshape).reshape(-1)[keep] for ki in grid.k]
     inv_k2 = grid.inv_k2.reshape(-1)[keep]
-    store = {tag: np.empty((t_count, keep.size), dtype=complex)
-             for tag in ("B141", "B112", "B113", "B242", "B212", "B343")}
-    store["B444"] = np.empty((t_count, dim, keep.size), dtype=complex)
+    store = {tags: np.empty((t_count, keep.size), dtype=complex)
+             for tags in cell_fluxes + (("B242",), ("B212",), ("B343",))}
+    store[("B444",)] = np.empty((t_count, dim, keep.size), dtype=complex)
     if force is not None:
-        store["L4"] = np.empty((t_count, dim, keep.size), dtype=complex)
+        store[("L4",)] = np.empty((t_count, dim, keep.size), dtype=complex)
         f_phys = force.f.to_physical()
 
     def packed(values):
@@ -154,20 +157,21 @@ def _integrand_store(traj, force):
         u_phys = [grid.backward(traj.u[kk, ax]) for ax in range(dim)]
         grad_c = [grid.backward((1j * grid.k[ax]) * traj.c[kk]) for ax in range(dim)]
         grad_v = [grid.backward((1j * grid.k[ax]) * traj.v[kk]) for ax in range(dim)]
-        store["B141"][kk] = div_contract(packed(up * n_phys) for up in u_phys)
-        store["B112"][kk] = div_contract(packed(n_phys * g) for g in grad_c)
-        store["B113"][kk] = div_contract(packed(n_phys * g) for g in grad_v)
-        store["B242"][kk] = div_contract(packed(up * c_phys) for up in u_phys)
-        store["B212"][kk] = -packed(n_phys * c_phys)
-        store["B343"][kk] = -packed(sum(a * b for a, b in zip(u_phys, grad_v)))
+        carried = {"B141": u_phys, "B112": grad_c, "B113": grad_v}
+        for tags in cell_fluxes:
+            store[tags][kk] = div_contract(packed(n_phys * sum(parts[1:], parts[0]))
+                                           for parts in zip(*(carried[t] for t in tags)))
+        store[("B242",)][kk] = div_contract(packed(up * c_phys) for up in u_phys)
+        store[("B212",)][kk] = -packed(n_phys * c_phys)
+        store[("B343",)][kk] = -packed(sum(a * b for a, b in zip(u_phys, grad_v)))
         # projected divergence of the velocity self-advection tensor, whose
         # dim (dim + 1) / 2 distinct products are each transformed once
         uu = {(l, j): packed(u_phys[l] * u_phys[j]) for l in range(dim) for j in range(l, dim)}
         project([div_contract(uu[min(l, j), max(l, j)] for l in range(dim))
-                 for j in range(dim)], store["B444"][kk])
+                 for j in range(dim)], store[("B444",)][kk])
         if force is not None:
-            project([-packed(n_phys * f_phys[j]) for j in range(dim)], store["L4"][kk])
-    store["L3"] = traj.n.reshape(t_count, -1)
+            project([-packed(n_phys * f_phys[j]) for j in range(dim)], store[("L4",)][kk])
+    store[("L3",)] = traj.n.reshape(t_count, -1)
     return store
 
 
@@ -201,8 +205,8 @@ def picard_map(traj, data, config):
     Duhamel terms are added into that trajectory's arrays in place, so no
     second trajectory is ever held in memory.  Terms that share a rule of
     ``config.rules()`` and damping (gamma on v, else 0) share one weight
-    matrix over (stored time, heat shell) per output time; each term
-    contracts its own stack with the columns of its modes' shells.
+    matrix over (stored time, heat shell) per output time, on the shells
+    of the modes they read; each stack contracts it at its modes' shells.
     """
     grid = config.grid
     times = config.time_grid.times
@@ -215,28 +219,40 @@ def picard_map(traj, data, config):
     force = config.force
     if force is not None and not any(np.abs(c.coeffs).any() for c in force.f.components):
         force = None
-    store = _integrand_store(traj, force)
     rules = config.rules()
-    group_of = {tag: (rules[tag], config.gamma if _TARGETS[tag] == "v" else 0.0)
-                for tag in store}
-    k2_shells, shell_of = np.unique(grid.k2.reshape(-1), return_inverse=True)
-    # L3's stack spans every mode, the products' the dealiased modes
+    # cell-flux terms that share a rule are one flux n (sum of their vectors)
+    cell = {}
+    for tag in ("B141", "B112", "B113"):
+        cell[rules[tag]] = cell.get(rules[tag], ()) + (tag,)
+    store = _integrand_store(traj, force, tuple(cell.values()))
+    group_of = {tags: (rules[tags[0]], config.gamma if _TARGETS[tags[0]] == "v" else 0.0)
+                for tags in store}
+    # a stack's modes, by its length: L3 spans every mode, a product the
+    # dealiased ones; a group's weights live on the shells of the modes it reads
+    k2 = grid.k2.reshape(-1)
     dealiased = np.flatnonzero(grid.dealias_mask)
-    modes = {tag: slice(None) if stack.shape[-1] == grid.k2.size else dealiased
-             for tag, stack in store.items()}
-    columns = {tag: shell_of[m] for tag, m in modes.items()}
+    modes = {k2.size: slice(None), dealiased.size: dealiased}
+    reads = {(group_of[tags], stack.shape[-1]) for tags, stack in store.items()}
+    shells = {group: np.unique(np.concatenate([k2[modes[n]] for g, n in reads if g == group]))
+              for group, _ in reads}
+    columns = {(group, n): np.searchsorted(shells[group], k2[modes[n]]) for group, n in reads}
 
     out = caloric_extension(data, config.gamma, config.time_grid)
     # (T, [dim,] modes) views of the output components
     flat = {name: a.reshape(a.shape[:-grid.dim] + (-1,))
             for name, a in (("n", out.n), ("c", out.c), ("v", out.v), ("u", out.u))}
     for kk, t in enumerate(times):
-        weights = {key: _duhamel_weights(t, *key, times, k2_shells)
-                   for key in set(group_of.values())}
-        for tag, stack in store.items():
-            per_mode = weights[group_of[tag]][:, columns[tag]]
-            flat[_TARGETS[tag]][kk][..., modes[tag]] += np.einsum(
-                "jm,j...m->...m", per_mode, stack[:len(per_mode)])
+        weights = {group: _duhamel_weights(t, *group, times, k2_shells)
+                   for group, k2_shells in shells.items()}
+        # one gather at a time, shared by consecutive stacks with its key
+        gathered = (None, None)
+        for tags, stack in store.items():
+            key = (group_of[tags], stack.shape[-1])
+            if gathered[0] != key:
+                gathered = (key, weights[key[0]][:, columns[key]])
+            rows = gathered[1]
+            flat[_TARGETS[tags[0]]][kk][..., modes[stack.shape[-1]]] += np.einsum(
+                "jm,j...m->...m", rows, stack[:len(rows)])
     # the attractant is defined modulo constants: pin its zero mode
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out
@@ -260,9 +276,10 @@ def picard_solve(data, config, constants=None):
     trace.x_norms.append(_trace_norm(x, config))
     for m in range(config.max_iters):
         x_next = picard_map(x, data, config)
-        # the difference is not kept: held, it would stay alive through the
-        # next map and its integrand store
-        d_m = _trace_norm(x_next - x, config)
+        # x_next - x overwrites x, dropped next: no third trajectory is made
+        for name in ("n", "c", "v", "u"):
+            np.subtract(getattr(x_next, name), getattr(x, name), out=getattr(x, name))
+        d_m = _trace_norm(x, config)
         norm_next = _trace_norm(x_next, config)
         trace.diffs.append(d_m)
         trace.x_norms.append(norm_next)
@@ -319,19 +336,19 @@ def _smoothing_pairs(exps):
 
 
 def measured_constants(config, n_fields=None):
-    """Empirical smoothing constants times the exact beta factors, for
-    every operator constant of the map; a constant whose beta factor is 0
-    (beta without a force) is 0 without a measurement."""
+    """Empirical smoothing constants, measured in one pass, times the exact
+    beta factors of every operator constant of the map; a constant whose
+    beta factor is 0 (beta without a force) is 0 without a measurement."""
     grid = config.grid
     if n_fields is None:
         n_fields = 8 if grid.dim == 2 else 5
-    out = {}
-    for name, (sp, sp1, dp, dp1, deriv) in _smoothing_pairs(config.exps).items():
-        bound = constant_bound(name, config.exps, config.force)
-        out[name] = 0.0 if bound == 0.0 else bound * smoothing_constant(
-            grid, MorreyIndex(sp, sp1), MorreyIndex(dp, dp1), derivative=deriv,
-            n_fields=n_fields, sampling=config.sampling)
-    return out
+    pairs = _smoothing_pairs(config.exps)
+    bounds = {name: constant_bound(name, config.exps, config.force) for name in pairs}
+    requests = {name: (MorreyIndex(sp, sp1), MorreyIndex(dp, dp1), deriv)
+                for name, (sp, sp1, dp, dp1, deriv) in pairs.items() if bounds[name] != 0.0}
+    measured = smoothing_constant(grid, requests, n_fields=n_fields, sampling=config.sampling)
+    return {name: 0.0 if bound == 0.0 else bound * measured[name]
+            for name, bound in bounds.items()}
 
 
 def smallness_check(data, config, n_fields=None):

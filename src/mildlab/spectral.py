@@ -27,7 +27,7 @@ class SpectralField:
         self.coeffs = coeffs
         self.pinned = bool(pinned)
         if self.pinned:
-            self.coeffs = coeffs.copy() if coeffs is not None else coeffs
+            self.coeffs = coeffs.copy()
             self.coeffs[(0,) * grid.dim] = 0.0
 
     @classmethod

@@ -5,16 +5,48 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+import mildlab.norms as norms
+from mildlab.duhamel import ForceField
+from mildlab.fields import radial_homogeneous_force
+from mildlab.grids import Grid, TimeGrid
+from mildlab.solver import SolverConfig, measured_constants
+
+from conftest import exponents_2d
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_benchmark_target_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     # loaded under a private name and without writing bytecode next to it
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_target_resolves(tracing):
     assert tracing.TARGETS
     missing = [f"{module}.{path}" for module, path, _ in tracing.TARGETS
                if tracing._resolve(module, path) is None]
     assert missing == []
+
+
+def test_cold_smoothing_span_has_morrey_children(tracing, monkeypatch):
+    # the traced hit ratio counts a smoothing call as a miss only when a
+    # Morrey norm runs under its span
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    exps = exponents_2d()
+    grid = Grid(2, 8, 4.0)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=TimeGrid.spanning(0.1, 1.0, 4),
+                          force=ForceField(radial_homogeneous_force(grid), exps.N1))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), tracer.operation(0):
+        measured_constants(config, n_fields=1)
+    spans = tracer.spans
+    parents = {spans[parent][0] for name, _, _, parent, *_ in spans
+               if name == "norms.morrey_norm" and parent >= 0}
+    assert "norms.smoothing_constant" in parents

@@ -236,6 +236,11 @@ def unpacked(grid, packed):
     return full.reshape(packed.shape[:-1] + grid.kshape)
 
 
+#: the cell-flux groupings of the integrand store: one stack per term, or one flux
+SPLIT = (("B141",), ("B112",), ("B113",))
+FUSED = (("B141", "B112", "B113"),)
+
+
 def _map_config(time_grid, grid, gamma=0.0, force=None):
     return SolverConfig(exps=exponents_2d(gamma), grid=grid, time_grid=time_grid, gamma=gamma,
                         quad_nodes=16, force=force)
@@ -244,25 +249,27 @@ def _map_config(time_grid, grid, gamma=0.0, force=None):
 def test_bilinear_zero_argument_gives_zero(caloric_setup):
     traj, _, force = caloric_setup
     tags = ("B141", "B112", "B113", "B212", "L3", "L4")
-    full = _integrand_store(traj, force)
-    store = _integrand_store(scaled(traj, n=0.0), force)
+    full = _integrand_store(traj, force, SPLIT)
+    store = _integrand_store(scaled(traj, n=0.0), force, SPLIT)
     for tag in tags:
-        assert np.abs(full[tag]).max() > 0, tag
-        assert np.abs(store[tag]).max() == 0.0, tag
+        assert np.abs(full[(tag,)]).max() > 0, tag
+        assert np.abs(store[(tag,)]).max() == 0.0, tag
 
 
 def test_bilinear_scaling_in_each_slot(caloric_setup):
+    # the fused cell flux n (u + grad c + grad v) is linear in n, and in
+    # (u, c, v) jointly
     traj, _, _ = caloric_setup
     lam = 3.0
-    base = _integrand_store(traj, None)["B141"]
-    for slot in ("n", "u"):
-        stack = _integrand_store(scaled(traj, **{slot: lam}), None)["B141"]
-        assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slot
+    base = _integrand_store(traj, None, FUSED)[FUSED[0]]
+    for slots in ({"n": lam}, {"u": lam, "c": lam, "v": lam}):
+        stack = _integrand_store(scaled(traj, **slots), None, FUSED)[FUSED[0]]
+        assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slots
 
 
 def test_b444_divergence_free(caloric_setup):
     traj, _, _ = caloric_setup
-    stack = unpacked(traj.grid, _integrand_store(traj, None)["B444"])
+    stack = unpacked(traj.grid, _integrand_store(traj, None, SPLIT)[("B444",)])
     assert np.abs(stack).max() > 0
     assert divergence_defects(traj.grid, stack).max() < 1e-12
 
@@ -321,8 +328,8 @@ def test_measured_operator_bound_b141(caloric_setup):
     rec = x_space_norms(traj, exps)
     s1 = exps.p1 * exps.q1 / (exps.p1 + exps.q1)
     pq = exps.p * exps.q / (exps.p + exps.q)
-    c_smooth = smoothing_constant(grid, MorreyIndex(pq, s1),
-                                  MorreyIndex(exps.q, exps.q1), derivative=True)
+    c_smooth = smoothing_constant(
+        grid, {"C1": (MorreyIndex(pq, s1), MorreyIndex(exps.q, exps.q1), True)})["C1"]
     bound = c_smooth * constant_bound("C1", exps) * rec.u_norm * rec.n_norm
     idx_q = MorreyIndex(exps.q, exps.q1)
     for k, t in enumerate(time_grid.times):

@@ -14,7 +14,7 @@ from mildlab.fields import gaussian, random_band_limited, bump
 from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, morrey_norm,
                            besov_morrey_norm_heat, besov_morrey_norm_lp,
                            x_space_norms, data_norm_I, data_norm_components,
-                           smoothing_constant)
+                           smoothing_constant, PhysicalValues)
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
 
@@ -178,6 +178,15 @@ def test_concentrated_field_skips_ball_convolutions(grid16, monkeypatch):
     monkeypatch.setattr(norms, "_ball_spectrum", counted)
     assert morrey_norm(f, idx) == expected
     assert 0 < len(convolved) < len(BallSampling.default_for(grid16).radii)
+
+
+def test_physical_values_norm_like_their_field(grid16):
+    # values transformed once give the field's norms, sup index included
+    f = random_band_limited(grid16, seed=5)
+    g = gradient(f)
+    for field, values in ((f, f.to_physical()), (g, g.magnitude())):
+        for idx in (MorreyIndex(3, 2), MorreyIndex(math.inf, math.inf)):
+            assert morrey_norm(PhysicalValues(grid16, values), idx) == morrey_norm(field, idx)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -406,27 +415,26 @@ def test_data_norm_scale_invariance():
 
 def test_smoothing_constant_finite_and_cached():
     grid = Grid(2, 32, 4.0)
-    c1 = smoothing_constant(grid, MorreyIndex(2, 1.5), MorreyIndex(4, 3), derivative=False,
-                            n_fields=4)
-    c2 = smoothing_constant(grid, MorreyIndex(2, 1.5), MorreyIndex(4, 3), derivative=False,
-                            n_fields=4)
+    request = {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)}
+    c1 = smoothing_constant(grid, request, n_fields=4)["c"]
+    c2 = smoothing_constant(grid, request, n_fields=4)["c"]
     assert 0 < c1 < np.inf and c1 == c2
     with pytest.raises(ValueError):
-        smoothing_constant(grid, MorreyIndex(4, 3), MorreyIndex(2, 1.5))
+        smoothing_constant(grid, {"c": (MorreyIndex(4, 3), MorreyIndex(2, 1.5), False)})
 
 
 def test_smoothing_cache_keeps_samplings_apart():
     import mildlab.norms as norms
 
     grid = Grid(2, 32, 4.0)
-    src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
+    request = {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)}
     default = BallSampling.default_for(grid)
     coarse = BallSampling(2, default.radii[::2] + default.radii[-1:])
-    c_default = smoothing_constant(grid, src, dst, n_fields=2)
-    c_coarse = smoothing_constant(grid, src, dst, n_fields=2, sampling=coarse)
+    c_default = smoothing_constant(grid, request, n_fields=2)["c"]
+    c_coarse = smoothing_constant(grid, request, n_fields=2, sampling=coarse)["c"]
     norms._SMOOTHING_CACHE.clear()
-    fresh_coarse = smoothing_constant(grid, src, dst, n_fields=2, sampling=coarse)
-    fresh_default = smoothing_constant(grid, src, dst, n_fields=2, sampling=default)
+    fresh_coarse = smoothing_constant(grid, request, n_fields=2, sampling=coarse)["c"]
+    fresh_default = smoothing_constant(grid, request, n_fields=2, sampling=default)["c"]
     assert c_coarse == fresh_coarse and c_default == fresh_default
     assert c_coarse != c_default
 
@@ -436,17 +444,17 @@ def test_smoothing_cache_never_shares_between_grids():
 
     # CPython hands a freed grid's id() to a later grid; allocate 64^2 grids
     # until one takes the freed 16^2 grid's id (or give up after 64)
-    src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
+    request = {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)}
     small = Grid(2, 16, 4.0)
-    smoothing_constant(small, src, dst, n_fields=1)
+    smoothing_constant(small, request, n_fields=1)
     freed = id(small)
     del small
     later = [Grid(2, 64, 4.0)]
     while id(later[-1]) != freed and len(later) < 64:
         later.append(Grid(2, 64, 4.0))
-    cached = smoothing_constant(later[-1], src, dst, n_fields=1)
+    cached = smoothing_constant(later[-1], request, n_fields=1)["c"]
     norms._SMOOTHING_CACHE.clear()
-    assert cached == smoothing_constant(later[-1], src, dst, n_fields=1)
+    assert cached == smoothing_constant(later[-1], request, n_fields=1)["c"]
 
 
 def test_smoothing_cache_is_bounded(monkeypatch):
@@ -455,6 +463,6 @@ def test_smoothing_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(norms, "_SMOOTHING_CACHE_SIZE", 2)
     grid = Grid(2, 16, 2.0)
     for seed in range(3):
-        smoothing_constant(grid, MorreyIndex(2, 1.5), MorreyIndex(4, 3), n_fields=1,
-                           seed=seed)
+        smoothing_constant(grid, {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)},
+                           n_fields=1, seed=seed)
     assert len(norms._SMOOTHING_CACHE) == 2

@@ -14,10 +14,10 @@ from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat
 from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import suggest_subindices
-from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS
-from mildlab.norms import x_space_norms
+from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents
+from mildlab.norms import MorreyIndex, x_space_norms, smoothing_constant
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
-                            smallness_check, measured_constants)
+                            smallness_check, measured_constants, _smoothing_pairs)
 
 from conftest import (exponents_2d, exponents_3d, gaussian_data, scale_data,
                       integrand_spectrum, node_quadrature)
@@ -211,6 +211,18 @@ def test_picard_map_matches_per_node_reference(dim, m, gamma, force_amplitude):
         assert err <= 1e-13 * np.abs(duhamel).max(), name
 
 
+def _forced_map_case(exps):
+    """An 8-point grid with a force, the data's caloric trajectory over 6
+    stored times, and the data."""
+    grid = Grid(exps.N, 8, 4.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 6)
+    force = ForceField(radial_homogeneous_force(grid, amplitude=0.5), exps.N1)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=tg, gamma=exps.gamma,
+                          quad_nodes=4, force=force)
+    data = gaussian_data(grid)
+    return config, caloric_extension(data, exps.gamma, tg), data
+
+
 @pytest.mark.parametrize("exps, groups", [
     # {B141, B112, B113}, {B242}, {B212}, {B343, B444}, {L3, L4}
     (exponents_2d(), 5),
@@ -224,13 +236,7 @@ def test_picard_map_matches_per_node_reference(dim, m, gamma, force_amplitude):
 def test_picard_map_builds_one_weight_matrix_per_group(exps, groups, monkeypatch):
     import mildlab.solver as solver
 
-    grid = Grid(exps.N, 8, 4.0)
-    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 6)
-    force = ForceField(radial_homogeneous_force(grid, amplitude=0.5), exps.N1)
-    config = SolverConfig(exps=exps, grid=grid, time_grid=tg, gamma=exps.gamma,
-                          quad_nodes=4, force=force)
-    data = gaussian_data(grid)
-    traj = caloric_extension(data, exps.gamma, tg)
+    config, traj, data = _forced_map_case(exps)
     built_at = []
     build = solver._duhamel_weights
 
@@ -241,7 +247,95 @@ def test_picard_map_builds_one_weight_matrix_per_group(exps, groups, monkeypatch
     monkeypatch.setattr(solver, "_duhamel_weights", counted)
     picard_map(traj, data, config)
     # one build per group and output time
-    assert sorted(built_at) == sorted(list(tg.times) * groups)
+    assert sorted(built_at) == sorted(list(config.time_grid.times) * groups)
+
+
+@pytest.mark.parametrize("exps, per_time", [
+    # B141 + B112 + B113 transform one flux per axis: 2 dim forwards fewer
+    (exponents_2d(), 19),
+    (exponents_3d(), 28),
+    # B141 keeps its own flux, B112 + B113 share one
+    (suggest_subindices(3, 0.0, 5, 2.5, 4), 31),
+], ids=["2d", "3d", "3d-p5-q2.5-r4"])
+def test_picard_map_transforms_per_stored_time(exps, per_time, monkeypatch):
+    config, traj, data = _forced_map_case(exps)
+    calls = []
+    for name in ("forward", "backward"):
+        real = getattr(Grid, name)
+
+        def counted(grid, values, real=real, name=name):
+            calls.append(name)
+            return real(grid, values)
+
+        monkeypatch.setattr(Grid, name, counted)
+    picard_map(traj, data, config)
+    # the force goes to physical space once per map, one transform per axis
+    assert len(calls) == per_time * len(traj) + exps.N
+
+
+@pytest.mark.parametrize("exps", [
+    exponents_2d(), exponents_3d(), exponents_2d(0.7), exponents_3d(0.7),
+    suggest_subindices(3, 0.0, 5, 2.5, 4),
+], ids=["2d", "3d", "2d-damped", "3d-damped", "3d-p5-q2.5-r4"])
+def test_picard_map_builds_weights_on_the_shells_a_group_reads(exps, monkeypatch):
+    import mildlab.solver as solver
+
+    config, traj, data = _forced_map_case(exps)
+    grid = config.grid
+    built = []
+    build = solver._duhamel_weights
+
+    def recorded(t, rule, gamma, times, k2_shells):
+        built.append(((rule.a, rule.b), gamma, len(k2_shells)))
+        return build(t, rule, gamma, times, k2_shells)
+
+    monkeypatch.setattr(solver, "_duhamel_weights", recorded)
+    picard_map(traj, data, config)
+    l3_group = (rule_exponents("L3", exps), exps.gamma)
+    all_shells = len(np.unique(grid.k2))
+    product_shells = len(np.unique(grid.k2[grid.dealias_mask]))
+    assert product_shells < all_shells
+    for exponents, gamma, shells in built:
+        expected = all_shells if (exponents, gamma) == l3_group else product_shells
+        assert shells == expected, (exponents, gamma)
+    assert sum(shells == all_shells for _, _, shells in built) == len(traj)
+
+
+@pytest.mark.parametrize("exps", [exponents_2d(), exponents_3d()], ids=["2d", "3d"])
+def test_measured_constants_equal_each_request_alone(exps, monkeypatch):
+    import mildlab.norms as norms
+
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    config, _, _ = _forced_map_case(exps)
+    table = measured_constants(config, n_fields=2)
+    sup_targets = 0
+    for name, (sp, sp1, dp, dp1, deriv) in _smoothing_pairs(exps).items():
+        norms._SMOOTHING_CACHE.clear()
+        request = {name: (MorreyIndex(sp, sp1), MorreyIndex(dp, dp1), deriv)}
+        alone = smoothing_constant(config.grid, request, n_fields=2)[name]
+        assert table[name] == constant_bound(name, exps, config.force) * alone, name
+        sup_targets += math.isinf(dp)
+    assert sup_targets == 2
+
+
+def test_warm_constants_table_makes_no_morrey_norm(monkeypatch):
+    import mildlab.norms as norms
+
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    config, _, _ = _forced_map_case(exponents_2d())
+    calls = []
+    real = norms.morrey_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "morrey_norm", counted)
+    cold = measured_constants(config, n_fields=1)
+    assert len(calls) > 0
+    calls.clear()
+    assert measured_constants(config, n_fields=1) == cold
+    assert calls == []
 
 
 @pytest.mark.parametrize("exps, distinct", [
@@ -308,6 +402,27 @@ def test_trajectory_difference_rejects_another_grid(small_grid, small_config):
     other = Grid(2, small_grid.m, 2 * small_grid.box_half_width)
     with pytest.raises(ValueError, match=r"L=10.0.*L=20.0"):
         Trajectory.zero(small_grid, times) - Trajectory.zero(other, times)
+
+
+def test_picard_solve_differences_in_place(monkeypatch):
+    # the successive difference is formed in the old iterate's arrays, never
+    # as a third trajectory, and its norm is the one x_next - x would give
+    grid = Grid(2, 32, 8.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, time_grid=tg, quad_nodes=8,
+                          max_iters=3, tol=1e-12)
+    data = scale_data(gaussian_data(grid), 0.05)
+    _, expected = picard_solve(data, config)
+    first = caloric_extension(data, 0.0, tg)
+    first_diff = x_space_norms(picard_map(first, data, config) - first, config.exps).total
+
+    def refused(self, other):
+        raise AssertionError("picard_solve formed a third trajectory")
+
+    monkeypatch.setattr(Trajectory, "__sub__", refused)
+    _, trace = picard_solve(data, config)
+    assert trace.as_dict() == expected.as_dict()
+    assert trace.diffs[0] == first_diff
 
 
 def test_picard_solve_small_data_contracts(small_solve_2d):
