@@ -62,8 +62,6 @@ class AdmissibilityReport:
     admissible: bool
     case_tag: str
     failed_clauses: list
-    weights: dict
-    beta_arguments: dict
 
     def __bool__(self):
         return self.admissible
@@ -149,16 +147,14 @@ def check_admissible(exps):
         failures.append(f"(D): p1(1/N1 + 1/q1) <= p(1/N + 1/q) fails "
                         f"({p1 * (1.0 / n1 + 1.0 / q1):g} vs {p * (1.0 / N + 1.0 / q):g})")
 
-    weights = {"l_q": exps.l_q, "mu_r": exps.mu_r, "mu_p": exps.mu_p}
-    for name, val in weights.items():
+    for name, val in (("l_q", exps.l_q), ("mu_r", exps.mu_r), ("mu_p", exps.mu_p)):
         if val <= 0:
             failures.append(f"derived weight {name} = {val:g} is not positive")
-    betas = beta_arguments(exps)
-    for name, (x, y) in betas.items():
+    for name, (x, y) in beta_arguments(exps).items():
         if x <= 0 or y <= 0:
             failures.append(f"beta argument of {name} not positive: ({x:g}, {y:g})")
 
-    return AdmissibilityReport(not failures, tag, failures, weights, betas)
+    return AdmissibilityReport(not failures, tag, failures)
 
 
 def require_admissible(exps):

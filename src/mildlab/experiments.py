@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import x_space_norms
-from .spectral import VectorField, rescale_field
+from .spectral import rescale_field
 from .solver import caloric_extension, picard_solve
 
 #: parabolic scaling degrees of (n, c, v, u)
@@ -47,9 +47,6 @@ class SelfSimilarResidual:
     per_component: dict
     pairs: int
 
-    def max_residual(self):
-        return max(self.per_component.values())
-
     def __getitem__(self, name):
         return self.per_component[name]
 
@@ -84,23 +81,12 @@ def verify_self_similar(traj, lambdas, window, gamma=0.0):
             a = traj.state(k)
             b = traj.state(k2)
             for name, degree in SCALING_DEGREES.items():
-                fa, fb = getattr(a, name), getattr(b, name)
-                if isinstance(fa, VectorField):
-                    comps_a = fa.to_physical()
-                    comps_b = [rescale_field(c, lam_int, degree).to_physical()
-                               for c in fb.components]
-                    scale = max(np.abs(ca[mask]).max() for ca in comps_a)
-                    if scale == 0:
-                        continue
-                    resid = max(np.abs(cb - ca)[mask].max()
-                                for ca, cb in zip(comps_a, comps_b))
-                else:
-                    va = fa.to_physical()
-                    vb = rescale_field(fb, lam_int, degree).to_physical()
-                    scale = np.abs(va[mask]).max()
-                    if scale == 0:
-                        continue
-                    resid = np.abs(vb - va)[mask].max()
+                va = getattr(a, name).to_physical()
+                vb = rescale_field(getattr(b, name), lam_int, degree).to_physical()
+                scale = np.abs(va[..., mask]).max()
+                if scale == 0:
+                    continue
+                resid = np.abs(vb - va)[..., mask].max()
                 out[name] = max(out[name], float(resid / scale))
     return SelfSimilarResidual(out, pairs)
 

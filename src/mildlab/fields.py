@@ -28,17 +28,19 @@ def gaussian_evolved(grid, a, t, amplitude=1.0, center=None):
     return SpectralField.from_physical(grid, amp * np.exp(-r2 / (2.0 * at)))
 
 
+def _planar_vector(grid, first, second):
+    """The velocity (first, second[, 0]) from physical values."""
+    zeros = [np.zeros(grid.shape)] * (grid.dim - 2)
+    return VectorField.from_physical(grid, [first, second] + zeros)
+
+
 def solenoidal_gaussian(grid, a=1.0, amplitude=1.0, center=None):
     """Divergence-free velocity from a Gaussian stream function."""
     disp = grid.displacement(center)
     r2 = sum(d ** 2 for d in disp)
     psi = amplitude * np.exp(-r2 / (2.0 * a))
     # planar curl (d_y psi, -d_x psi[, 0]) is exactly solenoidal
-    comps = [psi * (-disp[1] / a), psi * (disp[0] / a)]
-    while len(comps) < grid.dim:
-        comps.append(np.zeros(grid.shape))
-    u = VectorField.from_physical(grid, comps)
-    return leray_project(u)
+    return leray_project(_planar_vector(grid, psi * (-disp[1] / a), psi * (disp[0] / a)))
 
 
 def smooth_step(s):
@@ -75,8 +77,6 @@ def mollify(field, sigma):
     """Gaussian mollification at scale sigma, done spectrally."""
     if sigma <= 0:
         return field
-    if isinstance(field, VectorField):
-        return VectorField([mollify(c, sigma) for c in field.components])
     return heat_apply(field, 0.5 * sigma ** 2)
 
 
@@ -109,12 +109,8 @@ def azimuthal_homogeneous_velocity(grid, amplitude=1.0, sigma_cells=2.0):
     r = grid.radius()
     r_soft = np.maximum(r, 0.5 * h)
     base = amplitude * _homogeneous_envelope(grid) / r_soft ** 2
-    comps = [-grid.x[1] * base, grid.x[0] * base]
-    while len(comps) < grid.dim:
-        comps.append(np.zeros(grid.shape))
-    u = VectorField.from_physical(grid, comps)
-    u = mollify(u, sigma_cells * h)
-    return leray_project(u)
+    u = _planar_vector(grid, -grid.x[1] * base, grid.x[0] * base)
+    return leray_project(mollify(u, sigma_cells * h))
 
 
 def radial_homogeneous_force(grid, amplitude=1.0, sigma_cells=2.0):
@@ -152,10 +148,7 @@ def exact_azimuthal_velocity(grid, amplitude=1.0, sigma_cells=2.0):
     divergence-free."""
     t_moll = 0.5 * (sigma_cells * grid.spacing) ** 2
     p = amplitude * mollified_power_profile(grid, t_moll)
-    comps = [-grid.x[1] * p, grid.x[0] * p]
-    while len(comps) < grid.dim:
-        comps.append(np.zeros(grid.shape))
-    return leray_project(VectorField.from_physical(grid, comps))
+    return leray_project(_planar_vector(grid, -grid.x[1] * p, grid.x[0] * p))
 
 
 def exact_radial_force(grid, amplitude=1.0, sigma_cells=2.0):

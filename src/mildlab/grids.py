@@ -10,6 +10,11 @@ import numpy as np
 import scipy.fft as sfft
 
 
+def _per_axis(values):
+    """1-D arrays, one per axis, as sparse arrays that broadcast to the grid."""
+    return np.meshgrid(*values, indexing="ij", sparse=True)
+
+
 class Grid:
     """Uniform periodic grid on [-L, L)^N with cached wavenumber arrays."""
 
@@ -28,43 +33,28 @@ class Grid:
         self.shape = (m,) * dim
         self.kshape = (m,) * (dim - 1) + (m // 2 + 1,)
         self.cell_volume = self.spacing ** dim
+        self._fft_axes = tuple(range(-dim, 0))
 
         # angular wavenumbers pi*m/L, index 0 exactly zero
-        k1 = 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
-        k1r = 2.0 * np.pi * sfft.rfftfreq(m, d=self.spacing)
-        self.k = []
-        for ax in range(dim):
-            shp = [1] * dim
-            shp[ax] = -1
-            base = k1r if ax == dim - 1 else k1
-            self.k.append(base.reshape(shp))
+        self.k = self._spectral_axes(2.0 * np.pi * sfft.fftfreq(m, d=self.spacing),
+                                     2.0 * np.pi * sfft.rfftfreq(m, d=self.spacing))
         self.k2 = sum(ki ** 2 for ki in self.k)
         inv = np.zeros_like(self.k2)
         np.divide(1.0, self.k2, out=inv, where=self.k2 > 0)
         self.inv_k2 = inv
 
         # 2/3-rule mask for products
-        mode = sfft.fftfreq(m, d=1.0 / m)
-        moder = sfft.rfftfreq(m, d=1.0 / m)
-        keep = []
-        for ax in range(dim):
-            shp = [1] * dim
-            shp[ax] = -1
-            base = moder if ax == dim - 1 else mode
-            keep.append(np.abs(base.reshape(shp)) < m / 3.0)
-        mask = keep[0]
-        for piece in keep[1:]:
-            mask = mask & piece
-        self.dealias_mask = mask
+        modes = self._spectral_axes(sfft.fftfreq(m, d=1.0 / m), sfft.rfftfreq(m, d=1.0 / m))
+        self.dealias_mask = np.all(np.broadcast_arrays(*(np.abs(mode) < m / 3.0
+                                                         for mode in modes)), axis=0)
 
-        x1 = -self.box_half_width + self.spacing * np.arange(m)
-        self.x = []
-        for ax in range(dim):
-            shp = [1] * dim
-            shp[ax] = -1
-            self.x.append(x1.reshape(shp))
+        self.x = _per_axis([-self.box_half_width + self.spacing * np.arange(m)] * dim)
         self._ball_cache = {}
         self._ball_counts = {}
+
+    def _spectral_axes(self, full, half):
+        """Per-axis spectral values, the last axis on the half spectrum."""
+        return _per_axis([full] * (self.dim - 1) + [half])
 
     @property
     def size(self):
@@ -85,10 +75,12 @@ class Grid:
         return np.sqrt(sum(d ** 2 for d in self.displacement()))
 
     def forward(self, values):
-        return sfft.rfftn(values)
+        """Half-spectrum of a real field, or of each field of a stack: the
+        transform runs over the trailing dim axes only."""
+        return sfft.rfftn(values, axes=self._fft_axes)
 
     def backward(self, coeffs):
-        return sfft.irfftn(coeffs, s=self.shape)
+        return sfft.irfftn(coeffs, s=self.shape, axes=self._fft_axes)
 
     def compatible(self, other):
         return (self.dim == other.dim and self.m == other.m
@@ -118,7 +110,8 @@ class TimeGrid:
         """Geometric grid from t_min to t_max inclusive."""
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
-        ratio = (t_max / t_min) ** (1.0 / (count - 1))
+        # a count below 2 is rejected by the constructor
+        ratio = (t_max / t_min) ** (1.0 / max(count - 1, 1))
         return cls(t_min, ratio, count)
 
     @classmethod

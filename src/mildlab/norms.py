@@ -66,6 +66,8 @@ class BallSampling:
 
     def __init__(self, center_stride, radii):
         radii = tuple(float(r) for r in radii)
+        if not radii or radii[0] <= 0:
+            raise ValueError(f"radii must be a non-empty list of positive values, got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
         if center_stride < 1:
@@ -93,9 +95,7 @@ def lattice_distances(grid):
     """Sorted distinct periodic point distances, starting at one spacing."""
     m = grid.m
     per = np.minimum(np.arange(m), m - np.arange(m)).astype(np.int64)
-    d2 = per[:, None] ** 2 + per[None, :] ** 2
-    if grid.dim == 3:
-        d2 = d2[:, :, None] + (per ** 2)[None, None, :]
+    d2 = sum(np.meshgrid(*[per ** 2] * grid.dim, indexing="ij", sparse=True))
     vals = np.unique(d2.ravel())
     vals = vals[vals > 0]
     return grid.spacing * np.sqrt(vals.astype(float))

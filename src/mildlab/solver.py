@@ -32,6 +32,15 @@ _TARGETS = {"B141": "n", "B112": "n", "B113": "n", "B242": "c", "B212": "c",
             "B343": "v", "L3": "v", "B444": "u", "L4": "u"}
 
 
+def _require_grid(config, **named):
+    """Raise ValueError unless each named object (None aside) lives on the
+    config's grid."""
+    for name, obj in named.items():
+        if obj is not None and not config.grid.compatible(obj.grid):
+            raise ValueError(f"{name} lives on {obj.grid!r}, "
+                             f"not on the solver grid {config.grid!r}")
+
+
 @dataclass
 class SolverConfig:
     exps: object
@@ -49,9 +58,9 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.force is not None and not self.grid.compatible(self.force.grid):
-            raise ValueError(f"force lives on {self.force.grid!r}, "
-                             f"not on the solver grid {self.grid!r}")
+        if self.quad_nodes < 2:
+            raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes}")
+        _require_grid(self, force=self.force)
         if self.gamma != self.exps.gamma:
             raise ValueError(f"config gamma = {self.gamma:g} differs from the exponent "
                              f"set's gamma = {self.exps.gamma:g}")
@@ -115,8 +124,7 @@ def caloric_extension(data, gamma, time_grid):
         traj.n[kk] = heat_apply(data.n, t).coeffs
         traj.c[kk] = heat_apply(data.c, t).coeffs
         traj.v[kk] = damped_heat_apply(v0, t, gamma).coeffs
-        for ax, comp in enumerate(heat_apply(u0, t)):
-            traj.u[kk, ax] = comp.coeffs
+        traj.u[kk] = heat_apply(u0, t).coeffs
     return traj
 
 
@@ -208,6 +216,7 @@ def picard_map(traj, data, config):
     matrix over (stored time, heat shell) per output time, on the shells
     of the modes they read; each stack contracts it at its modes' shells.
     """
+    _require_grid(config, data=data, trajectory=traj)
     grid = config.grid
     times = config.time_grid.times
     if len(traj) != len(times) or not np.allclose(traj.times, times, rtol=1e-12):
@@ -217,7 +226,7 @@ def picard_map(traj, data, config):
         raise ValueError(f"velocity along the trajectory is not solenoidal "
                          f"(defect {defect:.2e})")
     force = config.force
-    if force is not None and not any(np.abs(c.coeffs).any() for c in force.f.components):
+    if force is not None and not np.abs(force.f.coeffs).any():
         force = None
     rules = config.rules()
     # cell-flux terms that share a rule are one flux n (sum of their vectors)
@@ -269,6 +278,7 @@ def picard_solve(data, config, constants=None):
     Divergence (three consecutive growing differences, or a non-finite
     norm) stops the iteration with the diverged flag set.
     """
+    _require_grid(config, data=data)
     trace = IterationTrace(constants=constants)
     # project the data velocity once, so the maps' caloric rows do not warn again
     data = StateTuple(data.t, data.n, data.c, data.v, _solenoidal(data.u))
@@ -355,6 +365,7 @@ def smallness_check(data, config, n_fields=None):
     """Assemble the constants table: measured C1..C7, alpha, beta, the
     contraction numbers K1/K2, epsilon = 1/(8 K1 K2), the measured caloric
     extension constant C0, delta = epsilon/C0, and the data verdict."""
+    _require_grid(config, data=data)
     consts = measured_constants(config, n_fields=n_fields)
     norm_data = data_norm_I(data, config.exps, time_grid=config.time_grid,
                             sampling=config.sampling)

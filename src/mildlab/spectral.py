@@ -1,17 +1,20 @@
 """Spectral fields and the exact Fourier-side linear operators.
 
 Fields are real-valued in physical space and stored as half-spectra
-(``rfftn`` coefficients).  Heat flow, derivatives, damping and the
-solenoidal (Leray-Helmholtz) projection are exact diagonal multipliers;
-products are formed in physical space and 2/3-dealiased by the callers
-that need them.
+(``rfftn`` coefficients): a scalar as one ``kshape`` array, a vector field
+as one ``(dim, *kshape)`` array, the layout of a stored trajectory's
+velocity.  Heat flow, derivatives, damping and the solenoidal
+(Leray-Helmholtz) projection are exact diagonal multipliers that
+broadcast over a vector's leading axis; products are formed in physical
+space and 2/3-dealiased by the callers that need them.
 """
 
 import numpy as np
 
 
 class SpectralField:
-    """One real scalar component on a periodic grid.
+    """One real scalar component on a periodic grid; ``VectorField`` shares
+    its constructors, transforms and arithmetic.
 
     ``pinned`` records the convention that the zero mode is held at 0,
     used for the chemical-attractant component which is only defined up
@@ -21,34 +24,49 @@ class SpectralField:
     __slots__ = ("grid", "coeffs", "pinned")
 
     def __init__(self, grid, coeffs, pinned=False):
-        if coeffs.shape != grid.kshape:
-            raise ValueError(f"coefficient shape {coeffs.shape} does not match grid {grid.kshape}")
+        shape = self._leading(grid) + grid.kshape
+        if coeffs.shape != shape:
+            raise ValueError(f"coefficient shape {coeffs.shape} does not match {shape} on {grid!r}")
         self.grid = grid
         self.coeffs = coeffs
         self.pinned = bool(pinned)
         if self.pinned:
             self.coeffs = coeffs.copy()
-            self.coeffs[(0,) * grid.dim] = 0.0
+            self.coeffs[(Ellipsis,) + (0,) * grid.dim] = 0.0
+
+    @staticmethod
+    def _leading(grid):
+        """The axes before the grid's: none for a scalar."""
+        return ()
+
+    @classmethod
+    def from_coeffs(cls, grid, coeffs, pinned=False):
+        """The field holding ``coeffs`` itself, not a copy (unless pinned)."""
+        field = cls.__new__(cls)
+        SpectralField.__init__(field, grid, coeffs, pinned)
+        return field
 
     @classmethod
     def from_physical(cls, grid, values, pinned=False):
         values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
-        return cls(grid, grid.forward(values), pinned=pinned)
+        shape = cls._leading(grid) + grid.shape
+        if values.shape != shape:
+            raise ValueError(f"value shape {values.shape} does not match {shape} on {grid!r}")
+        return cls.from_coeffs(grid, grid.forward(values), pinned=pinned)
 
     @classmethod
     def zero(cls, grid, pinned=False):
-        return cls(grid, np.zeros(grid.kshape, dtype=complex), pinned=pinned)
+        return cls.from_coeffs(grid, np.zeros(cls._leading(grid) + grid.kshape, dtype=complex),
+                               pinned=pinned)
 
     def to_physical(self):
         return self.grid.backward(self.coeffs)
 
     def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy(), pinned=self.pinned)
+        return self._like(self.coeffs.copy())
 
     def _like(self, coeffs, pinned=None):
-        return SpectralField(self.grid, coeffs, self.pinned if pinned is None else pinned)
+        return self.from_coeffs(self.grid, coeffs, self.pinned if pinned is None else pinned)
 
     def __add__(self, other):
         return self._like(self.coeffs + other.coeffs, pinned=self.pinned and other.pinned)
@@ -65,10 +83,11 @@ class SpectralField:
         return self._like(-self.coeffs)
 
 
-class VectorField:
-    """dim-length list of scalar components on one shared grid."""
+class VectorField(SpectralField):
+    """dim real components on one grid, held as one (dim, *kshape) array;
+    ``components`` and iteration give them as scalar fields (views)."""
 
-    __slots__ = ("grid", "components")
+    __slots__ = ()
 
     def __init__(self, components):
         grid = components[0].grid
@@ -77,38 +96,20 @@ class VectorField:
         for comp in components[1:]:
             if not grid.compatible(comp.grid):
                 raise ValueError("vector components live on different grids")
-        self.grid = grid
-        self.components = list(components)
+        super().__init__(grid, np.stack([comp.coeffs for comp in components]))
 
-    @classmethod
-    def from_physical(cls, grid, values_list):
-        return cls([SpectralField.from_physical(grid, v) for v in values_list])
+    @staticmethod
+    def _leading(grid):
+        return (grid.dim,)
 
-    @classmethod
-    def zero(cls, grid):
-        return cls([SpectralField.zero(grid) for _ in range(grid.dim)])
-
-    def to_physical(self):
-        return [c.to_physical() for c in self.components]
-
-    def copy(self):
-        return VectorField([c.copy() for c in self.components])
+    @property
+    def components(self):
+        return [SpectralField(self.grid, coeffs) for coeffs in self.coeffs]
 
     def magnitude(self):
-        """Pointwise Euclidean magnitude, in physical space."""
-        phys = self.to_physical()
-        return np.sqrt(sum(p ** 2 for p in phys))
-
-    def __add__(self, other):
-        return VectorField([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return VectorField([a - b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, scalar):
-        return VectorField([c * scalar for c in self.components])
-
-    __rmul__ = __mul__
+        """Pointwise Euclidean magnitude, in physical space; the components
+        are transformed one at a time, so no stack-sized copy is held."""
+        return np.sqrt(sum(self.grid.backward(c) ** 2 for c in self.coeffs))
 
     def __iter__(self):
         return iter(self.components)
@@ -118,12 +119,9 @@ def heat_apply(field, t):
     """e^{t Laplacian}: multiplier exp(-t |xi|^2);  t = 0 is the identity."""
     if t < 0:
         raise ValueError(f"heat flow needs t >= 0, got {t}")
-    if isinstance(field, VectorField):
-        return VectorField([heat_apply(c, t) for c in field.components])
     if t == 0:
         return field.copy()
-    return SpectralField(field.grid, field.coeffs * np.exp(-t * field.grid.k2),
-                         pinned=field.pinned)
+    return field._like(field.coeffs * np.exp(-t * field.grid.k2))
 
 
 def heat_grad_apply(field, t, axis):
@@ -134,7 +132,7 @@ def heat_grad_apply(field, t, axis):
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
     mult = (1j * grid.k[axis]) * np.exp(-t * grid.k2)
-    return SpectralField(grid, field.coeffs * mult)
+    return field._like(field.coeffs * mult, pinned=False)
 
 
 def damped_heat_apply(field, t, gamma):
@@ -152,51 +150,52 @@ def derivative(field, axis):
     grid = field.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    return SpectralField(grid, field.coeffs * (1j * grid.k[axis]))
+    return field._like(field.coeffs * (1j * grid.k[axis]), pinned=False)
 
 
 def gradient(field):
-    return VectorField([derivative(field, ax) for ax in range(field.grid.dim)])
+    grid = field.grid
+    # each product written in place: stacking them costs a copy (and, on a
+    # fresh 32^3 heap, about 375 page faults a call)
+    coeffs = np.empty((grid.dim,) + grid.kshape, dtype=complex)
+    for ax, k in enumerate(grid.k):
+        np.multiply(field.coeffs, 1j * k, out=coeffs[ax])
+    return VectorField.from_coeffs(grid, coeffs)
+
+
+def _dot_k(grid, coeffs):
+    """xi . u_hat of a (..., dim, *kshape) coefficient stack."""
+    return sum(k * comp for k, comp in zip(grid.k, np.moveaxis(coeffs, -grid.dim - 1, 0)))
 
 
 def divergence(vfield):
-    grid = vfield.grid
-    coeffs = sum((1j * grid.k[ax]) * vfield.components[ax].coeffs for ax in range(grid.dim))
-    return SpectralField(grid, coeffs)
+    return SpectralField(vfield.grid, 1j * _dot_k(vfield.grid, vfield.coeffs))
 
 
 def divergence_defects(grid, u):
     """max |xi . u_hat| relative to max |u_hat| for every field of a
     (..., dim, *kshape) coefficient stack; 0 for a zero field."""
     spatial = tuple(range(-grid.dim, 0))
-    dot = sum(k * comp for k, comp in zip(grid.k, np.moveaxis(u, -grid.dim - 1, 0)))
     scale = np.sqrt(grid.k2.max()) * np.abs(u).max(axis=(-grid.dim - 1,) + spatial)
-    num = np.abs(dot).max(axis=spatial)
+    num = np.abs(_dot_k(grid, u)).max(axis=spatial)
     return np.divide(num, scale, out=np.zeros_like(num), where=scale > 0)
 
 
 def spectral_divergence_defect(vfield):
     """max |xi . u_hat| relative to max |u_hat|; 0 for the zero field."""
-    return float(divergence_defects(vfield.grid,
-                                    np.stack([c.coeffs for c in vfield.components])))
+    return float(divergence_defects(vfield.grid, vfield.coeffs))
 
 
 def leray_project(vfield):
     """Solenoidal projection: symbol delta_jk - xi_j xi_k / |xi|^2, zero mode untouched."""
     grid = vfield.grid
-    dot = sum(grid.k[ax] * vfield.components[ax].coeffs for ax in range(grid.dim))
-    dot = dot * grid.inv_k2
-    comps = [SpectralField(grid, vfield.components[ax].coeffs - grid.k[ax] * dot)
-             for ax in range(grid.dim)]
-    return VectorField(comps)
+    dot = _dot_k(grid, vfield.coeffs) * grid.inv_k2
+    return vfield._like(vfield.coeffs - np.stack([k * dot for k in grid.k]))
 
 
 def dealias(field):
     """2/3-rule truncation, applied after physical-space products."""
-    if isinstance(field, VectorField):
-        return VectorField([dealias(c) for c in field.components])
-    return SpectralField(field.grid, field.coeffs * field.grid.dealias_mask,
-                         pinned=field.pinned)
+    return field._like(field.coeffs * field.grid.dealias_mask)
 
 
 def rescale_field(field, lam, degree):
@@ -205,8 +204,6 @@ def rescale_field(field, lam, degree):
     Integer lam maps grid points to grid points, so the resample is a pure
     index gather; lam = 1 returns an identical copy.
     """
-    if isinstance(field, VectorField):
-        return VectorField([rescale_field(c, lam, degree) for c in field.components])
     lam_int = int(round(lam))
     if abs(lam - lam_int) > 1e-12 or lam_int < 1:
         raise ValueError(f"lambda must be a positive integer for this lattice, got {lam}")
@@ -217,7 +214,5 @@ def rescale_field(field, lam, degree):
     grid = field.grid
     m = grid.m
     idx = (lam_int * np.arange(m) - (lam_int - 1) * (m // 2)) % m
-    vals = field.to_physical()
-    gathered = vals[np.ix_(*([idx] * grid.dim))]
-    out = SpectralField.from_physical(grid, (lam ** degree) * gathered, pinned=field.pinned)
-    return out
+    gathered = field.to_physical()[(Ellipsis,) + np.ix_(*([idx] * grid.dim))]
+    return field._like(grid.forward((lam ** degree) * gathered))

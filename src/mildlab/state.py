@@ -1,4 +1,9 @@
-"""State tuples (n, c, v, u) and stored trajectories on geometric time grids."""
+"""State tuples (n, c, v, u) and stored trajectories on geometric time grids.
+
+A trajectory stacks each component's coefficients over the stored times in
+the layout of ``spectral``: scalars as (T, *kshape), the velocity as
+(T, dim, *kshape), so a state's n, c and u are views of one row of them.
+"""
 
 import numpy as np
 
@@ -47,11 +52,7 @@ class StateTuple:
 
 
 class Trajectory:
-    """States stored at every point of a geometric time grid.
-
-    Coefficients are stacked per component for vectorized access:
-    scalars as (T, *kshape), velocity as (T, dim, *kshape).
-    """
+    """States stored at every point of a geometric time grid."""
 
     def __init__(self, grid, times, n, c, v, u):
         self.grid = grid
@@ -71,32 +72,25 @@ class Trajectory:
             raise ValueError("empty trajectory")
         grid = states[0].grid
         times = [s.t for s in states]
-        n = np.stack([s.n.coeffs for s in states])
-        c = np.stack([s.c.coeffs for s in states])
-        v = np.stack([s.v.coeffs for s in states])
-        u = np.stack([np.stack([comp.coeffs for comp in s.u.components]) for s in states])
-        return cls(grid, times, n, c, v, u)
+        return cls(grid, times, *(np.stack([getattr(s, name).coeffs for s in states])
+                                  for name in ("n", "c", "v", "u")))
 
     @classmethod
     def zero(cls, grid, times):
-        t = len(times)
-        ks = grid.kshape
-        return cls(grid, times,
-                   np.zeros((t,) + ks, dtype=complex),
-                   np.zeros((t,) + ks, dtype=complex),
-                   np.zeros((t,) + ks, dtype=complex),
-                   np.zeros((t, grid.dim) + ks, dtype=complex))
+        shapes = [(len(times),) + grid.kshape] * 3 + [(len(times), grid.dim) + grid.kshape]
+        return cls(grid, times, *(np.zeros(shape, dtype=complex) for shape in shapes))
 
     def __len__(self):
         return len(self.times)
 
     def state(self, k):
+        """The state at stored time k; its v is a pinned copy, the rest are views."""
         g = self.grid
         return StateTuple(self.times[k],
                           SpectralField(g, self.n[k]),
                           SpectralField(g, self.c[k]),
                           SpectralField(g, self.v[k], pinned=True),
-                          VectorField([SpectralField(g, self.u[k, ax]) for ax in range(g.dim)]))
+                          VectorField.from_coeffs(g, self.u[k]))
 
     def copy(self):
         return Trajectory(self.grid, self.times.copy(), self.n.copy(), self.c.copy(),

@@ -11,9 +11,9 @@ import mildlab.norms as norms
 from mildlab.duhamel import ForceField
 from mildlab.fields import radial_homogeneous_force
 from mildlab.grids import Grid, TimeGrid
-from mildlab.solver import SolverConfig, measured_constants
+from mildlab.solver import SolverConfig, measured_constants, picard_solve, smallness_check
 
-from conftest import exponents_2d
+from conftest import exponents_2d, gaussian_data
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +50,21 @@ def test_cold_smoothing_span_has_morrey_children(tracing, monkeypatch):
     parents = {spans[parent][0] for name, _, _, parent, *_ in spans
                if name == "norms.morrey_norm" and parent >= 0}
     assert "norms.smoothing_constant" in parents
+
+
+def test_every_benchmark_target_records_a_span(tracing, monkeypatch):
+    # a wrap point the flow no longer calls through would read 0 in a traced run
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    exps = exponents_2d()
+    grid = Grid(2, 16, 4.0)
+    config = SolverConfig(exps=exps, grid=grid, quad_nodes=4, max_iters=3,
+                          time_grid=TimeGrid.spanning(grid.spacing ** 2, 4.0, 6),
+                          force=ForceField(radial_homogeneous_force(grid, amplitude=0.02), exps.N1))
+    data = gaussian_data(grid, amplitude=0.01)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), tracer.operation(0):
+        smallness_check(data, config, n_fields=1)
+        picard_solve(data, config)
+    assert tracer.absent == []
+    recorded = {name for name, *_ in tracer.spans}
+    assert [name for _, _, name in tracing.TARGETS if name not in recorded] == []

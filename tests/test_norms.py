@@ -180,6 +180,12 @@ def test_concentrated_field_skips_ball_convolutions(grid16, monkeypatch):
     assert 0 < len(convolved) < len(BallSampling.default_for(grid16).radii)
 
 
+@pytest.mark.parametrize("radii", [[], [-1.0], [0.0, 1.0]], ids=["empty", "negative", "zero"])
+def test_ball_sampling_rejects_empty_or_non_positive_radii(radii):
+    with pytest.raises(ValueError, match="non-empty list of positive values"):
+        BallSampling(1, radii)
+
+
 def test_physical_values_norm_like_their_field(grid16):
     # values transformed once give the field's norms, sup index included
     f = random_band_limited(grid16, seed=5)

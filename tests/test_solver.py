@@ -259,18 +259,19 @@ def test_picard_map_builds_one_weight_matrix_per_group(exps, groups, monkeypatch
 ], ids=["2d", "3d", "3d-p5-q2.5-r4"])
 def test_picard_map_transforms_per_stored_time(exps, per_time, monkeypatch):
     config, traj, data = _forced_map_case(exps)
-    calls = []
+    fields = []
     for name in ("forward", "backward"):
         real = getattr(Grid, name)
 
-        def counted(grid, values, real=real, name=name):
-            calls.append(name)
+        def counted(grid, values, real=real):
+            # a batched call transforms every field of its leading axes
+            fields.append(math.prod(values.shape[:-grid.dim]))
             return real(grid, values)
 
         monkeypatch.setattr(Grid, name, counted)
     picard_map(traj, data, config)
     # the force goes to physical space once per map, one transform per axis
-    assert len(calls) == per_time * len(traj) + exps.N
+    assert sum(fields) == per_time * len(traj) + exps.N
 
 
 @pytest.mark.parametrize("exps", [
@@ -374,6 +375,30 @@ def test_config_rejects_force_on_another_grid(small_grid, small_config):
     with pytest.raises(ValueError, match=r"m=32.*m=48|m=48.*m=32"):
         SolverConfig(exps=exponents_2d(), grid=small_grid,
                      time_grid=small_config.time_grid, force=force)
+
+
+def test_data_or_trajectory_on_another_grid_is_rejected():
+    # equal shapes, other wavenumbers: nothing fails unless the grids are compared
+    grid, other = Grid(2, 32, 4.0), Grid(2, 32, 8.0)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, quad_nodes=4,
+                          time_grid=TimeGrid.spanning(0.1, 1.0, 4))
+    data, foreign = gaussian_data(grid, amplitude=0.01), gaussian_data(other, amplitude=0.01)
+    both = (r"lives on Grid\(dim=2, m=32, L=8\.0\), "
+            r"not on the solver grid Grid\(dim=2, m=32, L=4\.0\)")
+    with pytest.raises(ValueError, match="data " + both):
+        picard_solve(foreign, config)
+    with pytest.raises(ValueError, match="data " + both):
+        smallness_check(foreign, config, n_fields=1)
+    with pytest.raises(ValueError, match="data " + both):
+        picard_map(caloric_extension(data, 0.0, config.time_grid), foreign, config)
+    with pytest.raises(ValueError, match="trajectory " + both):
+        picard_map(caloric_extension(foreign, 0.0, config.time_grid), data, config)
+
+
+def test_config_needs_two_quadrature_nodes(small_grid, small_config):
+    with pytest.raises(ValueError, match="quad_nodes must be at least 2, got 1"):
+        SolverConfig(exps=exponents_2d(), grid=small_grid,
+                     time_grid=small_config.time_grid, quad_nodes=1)
 
 
 def test_picard_solve_zero_data_converges_in_one(small_grid, small_config):

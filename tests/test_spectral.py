@@ -5,13 +5,14 @@ displacement behind the centred field recipes."""
 import numpy as np
 import pytest
 
-from mildlab.grids import Grid
+from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import (SpectralField, VectorField, heat_apply, heat_grad_apply,
                               damped_heat_apply, leray_project, rescale_field,
                               gradient, divergence,
                               spectral_divergence_defect, dealias)
 from mildlab.fields import (gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited,
                             bump)
+from mildlab.state import Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,40 @@ def test_pinned_field_keeps_zero_mode(grid):
     assert f.coeffs[0, 0] == 0.0
     out = heat_apply(f, 0.4)
     assert out.coeffs[0, 0] == 0.0 and out.pinned
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vector_operators_act_per_component(dim):
+    # one (dim, *kshape) array: each operator broadcasts over the leading axis
+    # and gives, bit for bit, the scalar operator on each component
+    grid = Grid(dim, 16, 4.0)
+    comps = [random_band_limited(grid, seed=41 + i) for i in range(dim)]
+    u = VectorField(comps)
+    assert u.coeffs.shape == (dim,) + grid.kshape
+    for op in (lambda f: heat_apply(f, 0.3), dealias, lambda f: rescale_field(f, 2, 1.0)):
+        out = op(u)
+        assert isinstance(out, VectorField)
+        for ax, comp in enumerate(comps):
+            assert np.array_equal(out.coeffs[ax], op(comp).coeffs)
+    dot = sum(k * comp.coeffs for k, comp in zip(grid.k, comps)) * grid.inv_k2
+    projected = leray_project(u)
+    for ax, (k, comp) in enumerate(zip(grid.k, comps)):
+        assert np.array_equal(projected.coeffs[ax], comp.coeffs - k * dot)
+        assert np.array_equal(projected.components[ax].coeffs, projected.coeffs[ax])
+
+
+def test_trajectory_state_velocity_is_a_view():
+    grid = Grid(2, 16, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 2.0, 3).times)
+    u = traj.state(1).u
+    assert isinstance(u, VectorField) and np.shares_memory(u.coeffs, traj.u)
+    traj.u[1, 0, 2, 3] = 1.0
+    assert u.components[0].coeffs[2, 3] == 1.0
+
+
+def test_time_grid_spanning_needs_two_times():
+    with pytest.raises(ValueError, match="count must be at least 2, got 1"):
+        TimeGrid.spanning(0.1, 1.0, 1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
