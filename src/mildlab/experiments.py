@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import x_space_norms
+from .norms import x_space_series
 from .spectral import rescale_field
 from .solver import caloric_extension, picard_solve
 
@@ -115,12 +115,12 @@ def _tail_indices(times):
 def fit_decay_rate(traj, component, exps, sampling=None):
     """Least-squares slope of log norm vs log t on the tail, against the
     critical rate the weighted space predicts; the norm is the weighted
-    series of ``x_space_norms`` times t^predicted."""
+    series of ``x_space_series`` times t^predicted."""
     predicted = {"n": -exps.l_q, "grad_c": -exps.mu_r, "grad_v": -exps.mu_r,
                  "u": -exps.mu_p}.get(component)
     if predicted is None:
         raise ValueError(f"no predicted rate for component {component!r}")
-    weighted = x_space_norms(traj, exps, sampling).series[component]
+    weighted = x_space_series(traj, exps, sampling)[component]
     idx = _tail_indices(traj.times)
     tail = weighted[idx] * traj.times[idx] ** predicted
     if np.any(tail <= 0) or not np.all(np.isfinite(tail)):
@@ -172,10 +172,10 @@ def asymptotic_stability_run(data, perturbed_data, config, constants=None):
     times = config.time_grid.times
 
     diff = traj_b - traj_a
-    volta = x_space_norms(diff, config.exps, config.sampling).series
+    volta = x_space_series(diff, config.exps, config.sampling)
     data_diff = perturbed_data - data
     cal_diff = caloric_extension(data_diff, config.gamma, config.time_grid)
-    ida = x_space_norms(cal_diff, config.exps, config.sampling).series
+    ida = x_space_series(cal_diff, config.exps, config.sampling)
 
     identical = all(np.all(v == 0.0) for v in ida.values()) and \
         all(np.all(v == 0.0) for v in volta.values())

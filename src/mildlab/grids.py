@@ -50,7 +50,7 @@ class Grid:
 
         self.x = _per_axis([-self.box_half_width + self.spacing * np.arange(m)] * dim)
         self._ball_cache = {}
-        self._ball_counts = {}
+        self._radius_factors = {}
 
     def _spectral_axes(self, full, half):
         """Per-axis spectral values, the last axis on the half spectrum."""

@@ -6,14 +6,20 @@ with a ball indicator per radius, which prices in every grid center at
 once.  The result is a lower estimate of the continuum sup and is exact
 for the discrete sampling it states.
 
-The max over radii is a branch-and-bound.  A ball's local mass is at
-most the total mass sum |u|^p1 dV, and at most the peak max |u|^p1 dV
-times the ball's lattice-point count, so radius R is worth at most
-R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  Radii are visited in
-order of decreasing bound and convolved only while that bound, widened by
-1e-9 for FFT round-off, can still reach the best value found; the first
-radius that cannot ends the search.  No skipped radius could have raised
-the max, so the value is bit-identical to convolving every radius.
+Every sup of Morrey norms here (the X-norm's sup over stored times, the
+heat and Littlewood-Paley forms of the Besov-Morrey norm) is one
+branch-and-bound over the (row, radius) pairs of a weighted family
+w_i f_i, with a single field's norm as the one-row case.  A ball's local
+mass is at most the total mass sum |f_i|^p1 dV, and at most the peak
+max |f_i|^p1 dV times the ball's lattice-point count, so the pair is
+worth at most w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  Rows
+are visited in order of decreasing largest bound, and each row's radii in
+order of decreasing bound; a row is transformed forward only when one of
+its radii is convolved, and a row's search ends at the first bound that,
+widened by 1e-9 for FFT round-off, falls below the best value over all
+rows so far.  Since fl(w x) is monotone in x, no skipped pair could have
+raised the max, and the value is bit-identical to norming every row in
+full.  Each row's search is one ``morrey_norm`` call.
 
 One smoothing pass norms each evolved field once, as ``PhysicalValues``.
 """
@@ -113,18 +119,25 @@ def _ball_spectrum(grid, radius):
     return cache[key]
 
 
-def _ball_count(grid, radius):
-    """Lattice points in the ball, without transforming its indicator."""
-    cache = grid._ball_counts
-    key = round(radius, 12)
+def _radius_factors(grid, exponent, radii):
+    """R^exponent and the ball's lattice-point count for each radius, as
+    arrays; the counts come without transforming any indicator."""
+    cache = grid._radius_factors
+    key = (exponent, radii)
     if key not in cache:
-        cache[key] = int(np.count_nonzero(_ball_indicator(grid, radius)))
+        cache[key] = (np.array([radius ** exponent for radius in radii]),
+                      np.array([np.count_nonzero(_ball_indicator(grid, radius))
+                                for radius in radii]))
     return cache[key]
 
 
 #: values already in physical space, with their grid: a field (or a vector
 #: field's magnitude) transformed once and normed more than once
 PhysicalValues = namedtuple("PhysicalValues", "grid values")
+
+#: a row of a Morrey sup after pass 1: |f|^p1 in physical space, and the
+#: total and peak of |f|^p1 dV that bound its radii
+PoweredValues = namedtuple("PoweredValues", "grid p1 powered total peak")
 
 
 def _as_values(field):
@@ -135,45 +148,92 @@ def _as_values(field):
     return field.values
 
 
-def morrey_norm(field, idx, sampling=None):
-    """max over sampled centers x0 and radii R of
-    R^(N/p - N/p1) * ||u||_{L^p1(ball(x0, R))}, Riemann local masses.
+def _powered(field, p1):
+    grid = field.grid
+    powered = np.abs(_as_values(field)) ** p1
+    return PoweredValues(grid, p1, powered, powered.sum() * grid.cell_volume,
+                         powered.max() * grid.cell_volume)
 
-    Each radius is bounded by R^(N/p - N/p1) min(total, peak count(R))^(1/p1)
+
+def _radius_bounds(row, idx, sampling):
+    """Per sampled radius, the factor R^(N/p - N/p1) and the bound
+    R^(N/p - N/p1) min(total, peak count(R))^(1/p1) of a powered row."""
+    exponent = row.grid.dim * (1.0 / idx.p - 1.0 / row.p1)
+    scale, counts = _radius_factors(row.grid, exponent, sampling.radii)
+    return scale, scale * np.minimum(row.total, row.peak * counts) ** (1.0 / row.p1)
+
+
+def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
+    """max over sampled centers x0 and radii R of
+    R^(N/p - N/p1) * ||u||_{L^p1(ball(x0, R))}, Riemann local masses,
+    times ``weight``; the larger of that and ``floor`` is returned.
+
+    Each radius is bounded by w R^(N/p - N/p1) min(total, peak count(R))^(1/p1)
     (total and peak of |u|^p1 dV) and the radii are visited in order of
     decreasing bound; a radius is convolved only if bound (1 + 1e-9) >= the
-    best value so far, and the first that fails ends the search.  The value
-    is bit-identical to the max over every sampled radius.  A field whose
-    total mass is not finite (a NaN or inf value) has norm NaN.
+    best value so far, which starts at ``floor``, and the first that fails
+    ends the search.  The field is transformed forward only if some radius
+    is convolved.  The value is bit-identical to max(floor, w max_R ...)
+    over every sampled radius.  A field whose total mass is not finite (a
+    NaN or inf value) has norm NaN.  ``field`` may also be the
+    ``PoweredValues`` pass 1 of ``morrey_sup`` made for index p1.
     """
     if idx.is_sup:
-        return float(np.abs(_as_values(field)).max())
-    grid = field.grid
+        return _sup((floor, weight * float(np.abs(_as_values(field)).max())))
+    row = field if isinstance(field, PoweredValues) else _powered(field, idx.p1)
+    if not math.isfinite(row.total):
+        return math.nan
+    if row.total == 0.0:
+        return float(floor)
+    grid = row.grid
     if sampling is None:
         sampling = BallSampling.default_for(grid)
-    vals = np.abs(_as_values(field))
-    if not vals.any():
-        return 0.0
-    p, p1 = idx.p, idx.p1
-    powered = vals ** p1
-    total = powered.sum() * grid.cell_volume
-    if not math.isfinite(total):
-        return math.nan
-    peak = powered.max() * grid.cell_volume
-    exponent = grid.dim * (1.0 / p - 1.0 / p1)
-    bounds = sorted(((radius ** exponent
-                      * min(total, peak * _ball_count(grid, radius)) ** (1.0 / p1), radius)
-                     for radius in sampling.radii), reverse=True)
-    spec = grid.forward(powered)
+    scale, bounds = _radius_bounds(row, idx, sampling)
+    bounds = weight * bounds
     stride = (slice(None, None, sampling.center_stride),) * grid.dim
-    best = 0.0
-    for bound, radius in bounds:
-        if bound * (1 + 1e-9) < best:
+    spectrum = None
+    best = floor
+    for j in np.argsort(-bounds, kind="stable"):
+        if bounds[j] * (1 + 1e-9) < best:
             break
-        conv = grid.backward(spec * _ball_spectrum(grid, radius))
+        if spectrum is None:
+            spectrum = grid.forward(row.powered)
+        conv = grid.backward(spectrum * _ball_spectrum(grid, sampling.radii[j]))
         local_mass = max(conv[stride].max(), 0.0) * grid.cell_volume
-        best = max(best, radius ** exponent * local_mass ** (1.0 / p1))
+        best = max(best, weight * (scale[j] * local_mass ** (1.0 / row.p1)))
     return float(best)
+
+
+def morrey_sup(grid, rows, idx, sampling=None):
+    """max_i w_i ||f_i||_{M^p_p1} over rows (w_i, f_i) of non-negative
+    weights and fields on ``grid``, read once, so a generator makes each
+    field only when pass 1 reaches it.
+
+    Pass 1 takes each row to physical space once for its total and peak of
+    |f_i|^p1 dV, which bound every (row, radius) pair by
+    w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  Pass 2 visits the
+    rows in order of decreasing largest bound and norms each with
+    ``morrey_norm``, whose floor is the best value so far: a row none of
+    whose bounds reaches it returns without a forward transform, and in the
+    others only the radii that can still raise the max are convolved.  The
+    value is bit-identical to max_i w_i morrey_norm(f_i) with every radius
+    convolved; it is NaN if any row has a NaN or inf value, and 0.0 for no
+    rows.
+    """
+    if idx.is_sup:
+        return _sup(weight * float(np.abs(_as_values(field)).max()) for weight, field in rows)
+    if sampling is None:
+        sampling = BallSampling.default_for(grid)
+    rows_bounded = []
+    for weight, field in rows:
+        row = _powered(field, idx.p1)
+        if not math.isfinite(row.total):
+            return math.nan
+        rows_bounded.append((weight * _radius_bounds(row, idx, sampling)[1].max(), weight, row))
+    best = 0.0
+    for _, weight, row in sorted(rows_bounded, key=lambda item: -item[0]):
+        best = morrey_norm(row, idx, sampling, weight, best)
+    return best
 
 
 def _sup(terms):
@@ -188,8 +248,8 @@ def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
         raise ValueError(f"the heat characterization needs s < 0, got s = {s}")
     if time_grid is None:
         time_grid = TimeGrid.default_for(field.grid)
-    return _sup(t ** (-s / 2.0) * morrey_norm(heat_apply(field, t), idx, sampling)
-                for t in time_grid.times)
+    return morrey_sup(field.grid, ((t ** (-s / 2.0), heat_apply(field, t))
+                                   for t in time_grid.times), idx, sampling)
 
 
 class LittlewoodPaleyBank:
@@ -240,45 +300,54 @@ def besov_morrey_norm_lp(field, idx, s, bank=None):
     grid = field.grid
     if bank is None:
         bank = LittlewoodPaleyBank(grid)
-    blocks = ((j, bank.apply_block(field, j)) for j in bank.blocks())
-    return _sup(2.0 ** (s * j) * morrey_norm(blocked, idx)
-                for j, blocked in blocks if np.abs(blocked.coeffs).any())
+    return morrey_sup(grid, ((2.0 ** (s * j), bank.apply_block(field, j))
+                             for j in bank.blocks()), idx)
 
 
 class XNormsRecord:
-    """Weighted sup-in-time norms of one trajectory, with their series in
-    ``series``, keyed n, c_sup, grad_c, grad_v and u."""
+    """The weighted sup-in-time norms of one trajectory and their sum."""
 
-    def __init__(self, times, series):
-        self.times = np.asarray(times)
-        self.series = series
-        top = {name: float(values.max(initial=0.0)) for name, values in series.items()}
-        self.n_norm = top["n"]
-        self.c_norm = top["c_sup"] + top["grad_c"]
-        self.v_norm = top["grad_v"]
-        self.u_norm = top["u"]
+    def __init__(self, sups):
+        self.n_norm = sups["n"]
+        self.c_norm = sups["c_sup"] + sups["grad_c"]
+        self.v_norm = sups["grad_v"]
+        self.u_norm = sups["u"]
         self.total = self.n_norm + self.c_norm + self.v_norm + self.u_norm
+
+
+def _x_space_terms(traj, exps):
+    """The five terms of the X-norm of a ``Trajectory``, keyed n, c_sup,
+    grad_c, grad_v and u: each a Morrey index and a generator of its rows
+    (t^weight, field) over the stored times, which makes each field when
+    it is read."""
+    from .spectral import gradient
+
+    def rows(power, make):
+        return ((float(t) ** power, make(k)) for k, t in enumerate(traj.times))
+
+    idx_r = MorreyIndex(exps.r, exps.r1)
+    return {
+        "n": (MorreyIndex(exps.q, exps.q1), rows(exps.l_q, lambda k: traj.field("n", k))),
+        "c_sup": (MorreyIndex(math.inf, math.inf), rows(0.0, lambda k: traj.field("c", k))),
+        "grad_c": (idx_r, rows(exps.mu_r, lambda k: gradient(traj.field("c", k)))),
+        "grad_v": (idx_r, rows(exps.mu_r, lambda k: gradient(traj.field("v", k)))),
+        "u": (MorreyIndex(exps.p, exps.p1), rows(exps.mu_p, lambda k: traj.field("u", k))),
+    }
 
 
 def x_space_norms(traj, exps, sampling=None):
     """The four weighted norms t^{l_q}||n||, ||c||_inf + t^{mu_r}||grad c||,
-    t^{mu_r}||grad v||, t^{mu_p}||u|| of a ``Trajectory`` and their sum; the
-    record's per-time ``series`` are keyed n, c_sup, grad_c, grad_v and u."""
-    from .spectral import gradient
+    t^{mu_r}||grad v||, t^{mu_p}||u|| of a ``Trajectory`` and their sum,
+    each sup over the stored times one ``morrey_sup``."""
+    return XNormsRecord({name: morrey_sup(traj.grid, rows, idx, sampling)
+                         for name, (idx, rows) in _x_space_terms(traj, exps).items()})
 
-    idx_q = MorreyIndex(exps.q, exps.q1)
-    idx_r = MorreyIndex(exps.r, exps.r1)
-    idx_p = MorreyIndex(exps.p, exps.p1)
-    series = {name: np.empty(len(traj)) for name in ("n", "c_sup", "grad_c", "grad_v", "u")}
-    for k in range(len(traj)):
-        st = traj.state(k)
-        t = st.t
-        series["n"][k] = t ** exps.l_q * morrey_norm(st.n, idx_q, sampling)
-        series["c_sup"][k] = np.abs(st.c.to_physical()).max()
-        series["grad_c"][k] = t ** exps.mu_r * morrey_norm(gradient(st.c), idx_r, sampling)
-        series["grad_v"][k] = t ** exps.mu_r * morrey_norm(gradient(st.v), idx_r, sampling)
-        series["u"][k] = t ** exps.mu_p * morrey_norm(st.u, idx_p, sampling)
-    return XNormsRecord(traj.times, series)
+
+def x_space_series(traj, exps, sampling=None):
+    """The X-norm's terms at each stored time, keyed n, c_sup, grad_c,
+    grad_v and u; ``x_space_norms`` holds their maxima."""
+    return {name: np.array([weight * morrey_norm(field, idx, sampling) for weight, field in rows])
+            for name, (idx, rows) in _x_space_terms(traj, exps).items()}
 
 
 def data_norm_I(data, exps, time_grid=None, sampling=None):

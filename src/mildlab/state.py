@@ -34,7 +34,14 @@ class StateTuple:
 
     @property
     def grid(self):
-        return self.n.grid
+        """n's grid; raises ValueError if c, v or u lives on another."""
+        grid = self.n.grid
+        for name in ("c", "v", "u"):
+            other = getattr(self, name).grid
+            if not grid.compatible(other):
+                raise ValueError(f"state component {name} lives on {other!r}, "
+                                 f"not on n's grid {grid!r}")
+        return grid
 
     def validate(self, div_tol=1e-10):
         problems = []
@@ -83,14 +90,16 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
+    def field(self, name, k):
+        """Component ``name`` (n, c, v or u) at stored time k as a field: v
+        is a pinned copy, the rest are views."""
+        if name == "u":
+            return VectorField.from_coeffs(self.grid, self.u[k])
+        return SpectralField(self.grid, getattr(self, name)[k], pinned=name == "v")
+
     def state(self, k):
-        """The state at stored time k; its v is a pinned copy, the rest are views."""
-        g = self.grid
-        return StateTuple(self.times[k],
-                          SpectralField(g, self.n[k]),
-                          SpectralField(g, self.c[k]),
-                          SpectralField(g, self.v[k], pinned=True),
-                          VectorField.from_coeffs(g, self.u[k]))
+        """The state at stored time k, its fields as ``field`` makes them."""
+        return StateTuple(self.times[k], *(self.field(name, k) for name in "ncvu"))
 
     def copy(self):
         return Trajectory(self.grid, self.times.copy(), self.n.copy(), self.c.copy(),

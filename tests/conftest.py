@@ -120,3 +120,23 @@ def small_solve_2d():
     traj, trace = picard_solve(data, config, constants=table)
     return {"grid": grid, "exps": exps, "config": config, "data": data,
             "table": table, "traj": traj, "trace": trace}
+
+
+@pytest.fixture(scope="session")
+def small_solve_3d():
+    """The paper's main case, N = 3, solved at half the measured threshold:
+    config, data, trajectory and trace."""
+    from mildlab.solver import picard_solve
+
+    grid = Grid(3, 16, 4.0)
+    exps = exponents_3d()
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+    force = ForceField(radial_homogeneous_force(grid, amplitude=0.02, sigma_cells=2.0),
+                       exps.N1)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=12, force=force)
+    probe = gaussian_data(grid)
+    table = smallness_check(probe, config)
+    data = scale_data(probe, 0.5 * table.delta / table.data_norm)
+    traj, trace = picard_solve(data, config)
+    return {"grid": grid, "exps": exps, "config": config, "data": data,
+            "traj": traj, "trace": trace}

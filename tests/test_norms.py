@@ -12,8 +12,8 @@ from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, gradient, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
 from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, morrey_norm,
-                           besov_morrey_norm_heat, besov_morrey_norm_lp,
-                           x_space_norms, data_norm_I, data_norm_components,
+                           morrey_sup, besov_morrey_norm_heat, besov_morrey_norm_lp,
+                           x_space_norms, x_space_series, data_norm_I, data_norm_components,
                            smoothing_constant, PhysicalValues)
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
@@ -195,6 +195,100 @@ def test_physical_values_norm_like_their_field(grid16):
             assert morrey_norm(PhysicalValues(grid16, values), idx) == morrey_norm(field, idx)
 
 
+def _weighted_rows(grid):
+    """Seeded rows of varied concentration and weight, two of them zero."""
+    rows = []
+    for i in range(8):
+        f = random_band_limited(grid, seed=40 + i, corr_cells=1.5 + (i % 4))
+        if i % 3 == 1:
+            f = SpectralField.from_physical(grid, f.to_physical() ** 3)
+        rows.append((3.0 * 0.5 ** i * (1.0 + 0.5 * (i % 2)), f))
+    rows.insert(3, (2.0, SpectralField.zero(grid)))
+    rows.append((5.0, SpectralField.zero(grid)))
+    return rows
+
+
+def _sup_cases():
+    g2, g3 = Grid(2, 16, 2.0), Grid(3, 8, 2.0)
+    return {"2d": (g2, MorreyIndex(3, 2), None),
+            "2d strided": (g2, MorreyIndex(4, 1.5), BallSampling(2, BallSampling.default_for(g2).radii)),
+            "3d": (g3, MorreyIndex(4, 8 / 3), None),
+            "3d strided": (g3, MorreyIndex(3, 2), BallSampling(3, BallSampling.default_for(g3).radii))}
+
+
+@pytest.mark.parametrize("case", sorted(_sup_cases()))
+def test_morrey_sup_equals_max_of_weighted_norms(case):
+    grid, idx, sampling = _sup_cases()[case]
+    rows = _weighted_rows(grid)
+    by_row = [weight * morrey_norm(f, idx, sampling) for weight, f in rows]
+    unpruned = [weight * all_radii_morrey(f, idx, sampling) for weight, f in rows]
+    assert by_row == unpruned
+    assert morrey_sup(grid, rows, idx, sampling) == max(by_row) > 0
+    # rows may come from a generator, read once
+    assert morrey_sup(grid, iter(rows), idx, sampling) == max(by_row)
+    sup = MorreyIndex(math.inf, math.inf)
+    assert morrey_sup(grid, rows, sup) == max(w * morrey_norm(f, sup) for w, f in rows)
+
+
+def test_weighted_morrey_norm_with_a_floor(grid16, monkeypatch):
+    idx = MorreyIndex(3, 2)
+    f = random_band_limited(grid16, seed=12)
+    weight = 0.37
+    full = weight * all_radii_morrey(f, idx)
+    for floor in (0.0, 0.5 * full, full):
+        assert morrey_norm(f, idx, None, weight, floor) == max(floor, full)
+    forwards = []
+    real = Grid.forward
+
+    def counted(grid, values):
+        forwards.append(values.shape)
+        return real(grid, values)
+
+    # a floor above every radius bound returns as it is, with no forward transform
+    monkeypatch.setattr(Grid, "forward", counted)
+    total = (np.abs(f.to_physical()) ** 2).sum() * grid16.cell_volume
+    scale = max(radius ** (2 * (1 / 3 - 1 / 2)) for radius in BallSampling.default_for(grid16).radii)
+    floor = 2.0 * weight * scale * total ** 0.5
+    assert morrey_norm(f, idx, None, weight, floor) == floor
+    assert forwards == []
+
+
+def test_morrey_sup_is_won_by_a_later_row(grid16, monkeypatch):
+    # a concentrated, heavily weighted last row wins after broad earlier ones
+    idx = MorreyIndex(3, 2)
+    rows = [(1.0, random_band_limited(grid16, seed=s)) for s in range(6)]
+    rows.append((4.0, bump(grid16, 0.3)))
+    expected = max(w * morrey_norm(f, idx) for w, f in rows)
+    assert expected == 4.0 * morrey_norm(rows[-1][1], idx)
+    forwards = []
+    real = Grid.forward
+
+    def counted(grid, values):
+        forwards.append(values.shape)
+        return real(grid, values)
+
+    morrey_sup(grid16, rows, idx)  # fills the ball caches
+    monkeypatch.setattr(Grid, "forward", counted)
+    assert morrey_sup(grid16, rows, idx) == expected
+    assert 0 < len(forwards) < len(rows)
+
+
+def test_morrey_sup_of_no_rows_or_zero_rows(grid16):
+    idx = MorreyIndex(3, 2)
+    assert morrey_sup(grid16, [], idx) == 0.0
+    assert morrey_sup(grid16, [], MorreyIndex(math.inf, math.inf)) == 0.0
+    zero = SpectralField.zero(grid16)
+    assert morrey_sup(grid16, [(1.0, zero), (3.0, zero)], idx) == 0.0
+
+
+@pytest.mark.parametrize("idx", [MorreyIndex(3, 2), MorreyIndex(math.inf, math.inf)],
+                         ids=["morrey", "sup"])
+def test_morrey_sup_with_one_nan_row_is_nan(grid16, idx):
+    rows = [(1.0, random_band_limited(grid16, seed=s)) for s in range(4)]
+    rows.insert(2, (0.5, _field_with_one_nan(grid16)))
+    assert math.isnan(morrey_sup(grid16, rows, idx))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_field_has_nan_norm(grid16, bad):
     vals = random_band_limited(grid16, seed=3).to_physical()
@@ -333,11 +427,50 @@ def test_x_norms_single_snapshot_unit_time(grid16):
     st = StateTuple(1.0, n, c, v, u)
     exps = _exps_2d()
     rec = x_space_norms(Trajectory.from_states([st]), exps)
-    assert np.isclose(rec.n_norm, morrey_norm(n, MorreyIndex(exps.q, exps.q1)))
-    assert np.isclose(rec.u_norm, morrey_norm(u, MorreyIndex(exps.p, exps.p1)))
-    assert np.isclose(rec.c_norm,
-                      np.abs(c.to_physical()).max()
-                      + morrey_norm(gradient(c), MorreyIndex(exps.r, exps.r1)))
+    assert rec.n_norm == morrey_norm(n, MorreyIndex(exps.q, exps.q1))
+    assert rec.u_norm == morrey_norm(u, MorreyIndex(exps.p, exps.p1))
+    assert rec.c_norm == (np.abs(c.to_physical()).max()
+                          + morrey_norm(gradient(c), MorreyIndex(exps.r, exps.r1)))
+    assert rec.v_norm == morrey_norm(gradient(v), MorreyIndex(exps.r, exps.r1))
+
+
+@pytest.mark.parametrize("solve", ["small_solve_2d", "small_solve_3d"])
+def test_x_space_norms_are_the_series_maxima(solve, request):
+    case = request.getfixturevalue(solve)
+    traj, config = case["traj"], case["config"]
+    rec = x_space_norms(traj, config.exps, config.sampling)
+    top = {name: float(values.max())
+           for name, values in x_space_series(traj, config.exps, config.sampling).items()}
+    assert rec.n_norm == top["n"]
+    assert rec.c_norm == top["c_sup"] + top["grad_c"]
+    assert rec.v_norm == top["grad_v"]
+    assert rec.u_norm == top["u"]
+    assert rec.total == rec.n_norm + rec.c_norm + rec.v_norm + rec.u_norm > 0
+
+
+def test_x_space_norms_transform_few_rows(small_solve_2d, monkeypatch):
+    # per-row evaluation transforms every one of the 4 T Morrey rows forward
+    traj, config = small_solve_2d["traj"], small_solve_2d["config"]
+    x_space_norms(traj, config.exps, config.sampling)  # fills the ball caches
+    forwards, rows = [], []
+    real, real_norm = Grid.forward, norms.morrey_norm
+
+    def counted(grid, values):
+        forwards.append(values.shape)
+        return real(grid, values)
+
+    def counted_norm(*args, **kwargs):
+        rows.append(args[1])
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(Grid, "forward", counted)
+    monkeypatch.setattr(norms, "morrey_norm", counted_norm)
+    x_space_norms(traj, config.exps, config.sampling)
+    # each Morrey row is one morrey_norm call, the name the benchmark tracer wraps
+    assert len(rows) == 4 * len(traj)
+    # 19 forward transforms for the 36 stored times when this was written
+    assert len(traj) >= 16
+    assert len(forwards) <= len(traj)
 
 
 def test_x_norms_nan_state_gives_nan_total(grid16):

@@ -395,6 +395,20 @@ def test_data_or_trajectory_on_another_grid_is_rejected():
         picard_map(caloric_extension(foreign, 0.0, config.time_grid), data, config)
 
 
+@pytest.mark.parametrize("name", ["c", "v", "u"])
+def test_state_with_a_component_on_another_grid_is_rejected(name):
+    # equal shapes, other wavenumbers: n alone would pass the solver's grid check
+    grid, other = Grid(2, 16, 4.0), Grid(2, 16, 8.0)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, quad_nodes=4,
+                          time_grid=TimeGrid.spanning(0.1, 1.0, 4))
+    data, foreign = gaussian_data(grid, amplitude=0.01), gaussian_data(other, amplitude=0.01)
+    setattr(data, name, getattr(foreign, name))
+    with pytest.raises(ValueError, match=rf"state component {name} lives on "
+                                         r"Grid\(dim=2, m=16, L=8\.0\), "
+                                         r"not on n's grid Grid\(dim=2, m=16, L=4\.0\)"):
+        picard_solve(data, config)
+
+
 def test_config_needs_two_quadrature_nodes(small_grid, small_config):
     with pytest.raises(ValueError, match="quad_nodes must be at least 2, got 1"):
         SolverConfig(exps=exponents_2d(), grid=small_grid,
@@ -564,18 +578,9 @@ def test_lipschitz_data_dependence(small_solve_2d):
     assert abs(lams[1] - lams[0]) / lams[0] < 0.10
 
 
-def test_small_data_3d_solve():
+def test_small_data_3d_solve(small_solve_3d):
     # the paper's main case, N = 3, end to end at half the measured threshold
-    grid = Grid(3, 16, 4.0)
-    exps = exponents_3d()
-    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
-    force = ForceField(radial_homogeneous_force(grid, amplitude=0.02, sigma_cells=2.0),
-                       exps.N1)
-    config = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=12, force=force)
-    probe = gaussian_data(grid)
-    table = smallness_check(probe, config)
-    data = scale_data(probe, 0.5 * table.delta / table.data_norm)
-    traj, trace = picard_solve(data, config)
+    data, traj, trace = (small_solve_3d[name] for name in ("data", "traj", "trace"))
     assert trace.converged and not trace.diverged
     assert all(r < 1.0 for r in trace.ratios)
     masses = traj.n[(slice(None), 0, 0, 0)].real
