@@ -166,15 +166,11 @@ def require_admissible(exps):
                          + "; ".join(report.failed_clauses))
 
 
-def _outer_case_ok(N, p, q, r):
-    return _case_tag(N, p, q, r, []) != ""
-
-
 def suggest_subindices(N, gamma, p, q, r):
     """Sub-indices for valid outer exponents: scan q1 downward from q,
     tie r1 (and p1) by the ratio clause, take the smallest N1 the force
     clauses allow; None when no scanned candidate passes."""
-    if not _outer_case_ok(N, p, q, r):
+    if _case_tag(N, p, q, r, []) == "":
         raise ValueError(f"(p, q, r) = ({p:g}, {q:g}, {r:g}) satisfies none of the "
                          f"outer-exponent cases for N={N}")
     for kappa in (1.5, 1.4, 1.3, 1.2, 1.1, 1.05, 1.0):

@@ -96,10 +96,6 @@ class ForceField:
     def grid(self):
         return self.f.grid
 
-    def norm_consistent(self):
-        fresh = morrey_norm(self.f, MorreyIndex(self.grid.dim, self.n1))
-        return abs(fresh - self.morrey_norm_N_N1) <= 1e-12 * max(1.0, fresh)
-
 
 @dataclass
 class ConstantsTable:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import x_space_series
+from .norms import _x_space_terms, weighted_series, x_space_series
 from .spectral import rescale_field
 from .solver import caloric_extension, picard_solve
 
@@ -114,13 +114,14 @@ def _tail_indices(times):
 
 def fit_decay_rate(traj, component, exps, sampling=None):
     """Least-squares slope of log norm vs log t on the tail, against the
-    critical rate the weighted space predicts; the norm is the weighted
-    series of ``x_space_series`` times t^predicted."""
+    critical rate the weighted space predicts; the norm is the component's
+    ``x_space_series`` entry, built without the other terms, times
+    t^predicted."""
     predicted = {"n": -exps.l_q, "grad_c": -exps.mu_r, "grad_v": -exps.mu_r,
                  "u": -exps.mu_p}.get(component)
     if predicted is None:
         raise ValueError(f"no predicted rate for component {component!r}")
-    weighted = x_space_series(traj, exps, sampling)[component]
+    weighted = weighted_series(*_x_space_terms(traj, exps)[component], sampling)
     idx = _tail_indices(traj.times)
     tail = weighted[idx] * traj.times[idx] ** predicted
     if np.any(tail <= 0) or not np.all(np.isfinite(tail)):

@@ -7,8 +7,6 @@ are grid-representable; self-similarity checks restrict attention to the
 window between those two scales.
 """
 
-import math
-
 import numpy as np
 
 from .spectral import SpectralField, VectorField, heat_apply, leray_project
@@ -122,40 +120,6 @@ def radial_homogeneous_force(grid, amplitude=1.0, sigma_cells=2.0):
     comps = [xi * base for xi in grid.x]
     f = VectorField.from_physical(grid, comps)
     return mollify(f, sigma_cells * h)
-
-
-def mollified_power_profile(grid, t_moll):
-    """Exact Gaussian mollification of |x|^-2 in 3D:
-    e^{t Lap} r^-2 = dawsn(r / (2 sqrt(t))) / (r sqrt(t)), smooth at 0."""
-    from scipy.special import dawsn
-    s = math.sqrt(t_moll)
-    r = grid.radius()
-    small = r < 1e-12
-    r_safe = np.where(small, 1.0, r)
-    vals = dawsn(r_safe / (2.0 * s)) / (r_safe * s)
-    return np.where(small, 0.5 / t_moll, vals)
-
-
-def exact_homogeneous_density(grid, amplitude=1.0, sigma_cells=2.0):
-    """Degree -2 cell density from the closed-form mollified profile."""
-    t_moll = 0.5 * (sigma_cells * grid.spacing) ** 2
-    return SpectralField.from_physical(grid, amplitude * mollified_power_profile(grid, t_moll))
-
-
-def exact_azimuthal_velocity(grid, amplitude=1.0, sigma_cells=2.0):
-    """Degree -1 solenoidal velocity (-x2, x1, 0) p(r) built on the
-    mollified inverse-square profile; azimuthal times radial is exactly
-    divergence-free."""
-    t_moll = 0.5 * (sigma_cells * grid.spacing) ** 2
-    p = amplitude * mollified_power_profile(grid, t_moll)
-    return leray_project(_planar_vector(grid, -grid.x[1] * p, grid.x[0] * p))
-
-
-def exact_radial_force(grid, amplitude=1.0, sigma_cells=2.0):
-    """Degree -1 force x p(r) on the mollified inverse-square profile."""
-    t_moll = 0.5 * (sigma_cells * grid.spacing) ** 2
-    p = amplitude * mollified_power_profile(grid, t_moll)
-    return VectorField.from_physical(grid, [xi * p for xi in grid.x])
 
 
 def random_band_limited(grid, seed, corr_cells=4.0):

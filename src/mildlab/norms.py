@@ -7,7 +7,7 @@ once.  The result is a lower estimate of the continuum sup and is exact
 for the discrete sampling it states.
 
 Every sup of Morrey norms here (the X-norm's sup over stored times, the
-heat and Littlewood-Paley forms of the Besov-Morrey norm) is one
+heat form of the Besov-Morrey norm) is one
 branch-and-bound over the (row, radius) pairs of a weighted family
 w_i f_i, with a single field's norm as the one-row case.  A ball's local
 mass is at most the total mass sum |f_i|^p1 dV, and at most the peak
@@ -32,7 +32,6 @@ import numpy as np
 from .admissibility import require_admissible
 from .grids import TimeGrid
 from .spectral import SpectralField, VectorField, heat_apply
-from .fields import smooth_step
 
 
 class MorreyIndex:
@@ -252,58 +251,6 @@ def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
                                    for t in time_grid.times), idx, sampling)
 
 
-class LittlewoodPaleyBank:
-    """Dyadic frequency blocks from a smooth radial cutoff.
-
-    chi is 1 on [0, 3/2] and supported in [0, 5/3); the blocks
-    phi_j(xi) = chi(2^-j |xi|) - chi(2^(1-j) |xi|) telescope to 1 on the
-    annuli the window [j_min, j_max] covers, one block past the grid's
-    lowest and highest nonzero frequency on each side.
-    """
-
-    def __init__(self, grid):
-        self.grid = grid
-        k = np.sqrt(grid.k2)
-        self.j_min = math.floor(math.log2(np.pi / grid.box_half_width)) - 1
-        self.j_max = math.ceil(math.log2(k.max())) + 1
-        self._absk = k
-
-    @staticmethod
-    def cutoff(z):
-        """chi: 1 on [0, 3/2], support in [0, 5/3)."""
-        z = np.asarray(z, dtype=float)
-        return 1.0 - smooth_step((z - 1.5) / (5.0 / 3.0 - 1.5))
-
-    def block_multiplier(self, j):
-        return self.cutoff(self._absk / 2.0 ** j) - self.cutoff(self._absk / 2.0 ** (j - 1))
-
-    def blocks(self):
-        return range(self.j_min, self.j_max + 1)
-
-    def apply_block(self, field, j):
-        return SpectralField(self.grid, field.coeffs * self.block_multiplier(j))
-
-    def partition_defect(self):
-        """max |sum_j phi_j - 1| over nonzero lattice frequencies inside
-        the covered annulus."""
-        total = sum(self.block_multiplier(j) for j in self.blocks())
-        covered = (self._absk >= (5.0 / 6.0) * 2.0 ** self.j_min) & \
-                  (self._absk <= 1.5 * 2.0 ** self.j_max)
-        covered &= self._absk > 0
-        if not covered.any():
-            return math.inf
-        return float(np.abs(total[covered] - 1.0).max())
-
-
-def besov_morrey_norm_lp(field, idx, s, bank=None):
-    """Littlewood-Paley form sup_j 2^{s j} ||block_j u||_{M^p_p1}."""
-    grid = field.grid
-    if bank is None:
-        bank = LittlewoodPaleyBank(grid)
-    return morrey_sup(grid, ((2.0 ** (s * j), bank.apply_block(field, j))
-                             for j in bank.blocks()), idx)
-
-
 class XNormsRecord:
     """The weighted sup-in-time norms of one trajectory and their sum."""
 
@@ -346,8 +293,13 @@ def x_space_norms(traj, exps, sampling=None):
 def x_space_series(traj, exps, sampling=None):
     """The X-norm's terms at each stored time, keyed n, c_sup, grad_c,
     grad_v and u; ``x_space_norms`` holds their maxima."""
-    return {name: np.array([weight * morrey_norm(field, idx, sampling) for weight, field in rows])
+    return {name: weighted_series(idx, rows, sampling)
             for name, (idx, rows) in _x_space_terms(traj, exps).items()}
+
+
+def weighted_series(idx, rows, sampling=None):
+    """w_i ||f_i||_{M^p_p1} for each row (w_i, f_i), in order."""
+    return np.array([weight * morrey_norm(field, idx, sampling) for weight, field in rows])
 
 
 def data_norm_I(data, exps, time_grid=None, sampling=None):
@@ -394,8 +346,11 @@ def smoothing_constant(grid, requests, n_fields=8, seed=1234, sampling=None):
     1e4 h^2) and the field ensemble, cached per (grid geometry, ball
     sampling, index, ensemble) signature.  Requests not cached share one
     walk over the ensemble, which forms each evolved field, its values
-    and each distinct Morrey norm of them once.
+    and each distinct Morrey norm of them once.  An empty ensemble
+    measures nothing and is rejected.
     """
+    if n_fields < 1:
+        raise ValueError(f"smoothing constants need n_fields >= 1, got {n_fields}")
     for src_idx, dst_idx, _ in requests.values():
         if not dst_idx.is_sup and (dst_idx.p < src_idx.p - 1e-12 or
                                    dst_idx.p / dst_idx.p1 < src_idx.p / src_idx.p1 - 1e-12):

@@ -3,10 +3,11 @@
 Fields are real-valued in physical space and stored as half-spectra
 (``rfftn`` coefficients): a scalar as one ``kshape`` array, a vector field
 as one ``(dim, *kshape)`` array, the layout of a stored trajectory's
-velocity.  Heat flow, derivatives, damping and the solenoidal
+velocity.  Heat flow, damping, the gradient and the solenoidal
 (Leray-Helmholtz) projection are exact diagonal multipliers that
 broadcast over a vector's leading axis; products are formed in physical
-space and 2/3-dealiased by the callers that need them.
+space and 2/3-dealiased (``grid.dealias_mask``) by the callers that need
+them.
 """
 
 import numpy as np
@@ -124,17 +125,6 @@ def heat_apply(field, t):
     return field._like(field.coeffs * np.exp(-t * field.grid.k2))
 
 
-def heat_grad_apply(field, t, axis):
-    """partial_axis e^{t Laplacian}: multiplier (i xi_axis) exp(-t |xi|^2), t > 0 only."""
-    if t <= 0:
-        raise ValueError(f"the derivative kernel is singular at t = 0; got t = {t}")
-    grid = field.grid
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    mult = (1j * grid.k[axis]) * np.exp(-t * grid.k2)
-    return field._like(field.coeffs * mult, pinned=False)
-
-
 def damped_heat_apply(field, t, gamma):
     """e^{-gamma t} e^{t Laplacian}; gamma = 0 reduces exactly to heat_apply."""
     if t < 0 or gamma < 0:
@@ -143,14 +133,6 @@ def damped_heat_apply(field, t, gamma):
     if gamma == 0:
         return out
     return out * np.exp(-gamma * t)
-
-
-def derivative(field, axis):
-    """partial_axis as the multiplier i xi_axis."""
-    grid = field.grid
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    return field._like(field.coeffs * (1j * grid.k[axis]), pinned=False)
 
 
 def gradient(field):
@@ -166,10 +148,6 @@ def gradient(field):
 def _dot_k(grid, coeffs):
     """xi . u_hat of a (..., dim, *kshape) coefficient stack."""
     return sum(k * comp for k, comp in zip(grid.k, np.moveaxis(coeffs, -grid.dim - 1, 0)))
-
-
-def divergence(vfield):
-    return SpectralField(vfield.grid, 1j * _dot_k(vfield.grid, vfield.coeffs))
 
 
 def divergence_defects(grid, u):
@@ -193,11 +171,6 @@ def leray_project(vfield):
     return vfield._like(vfield.coeffs - np.stack([k * dot for k in grid.k]))
 
 
-def dealias(field):
-    """2/3-rule truncation, applied after physical-space products."""
-    return field._like(field.coeffs * field.grid.dealias_mask)
-
-
 def rescale_field(field, lam, degree):
     """f(x) -> lam^degree f(lam x), exact for integer lattice-compatible lam.
 
@@ -208,9 +181,7 @@ def rescale_field(field, lam, degree):
     if abs(lam - lam_int) > 1e-12 or lam_int < 1:
         raise ValueError(f"lambda must be a positive integer for this lattice, got {lam}")
     if lam_int == 1:
-        if degree == 0:
-            return field.copy()
-        return field * (1.0 ** degree)
+        return field.copy()
     grid = field.grid
     m = grid.m
     idx = (lam_int * np.arange(m) - (lam_int - 1) * (m // 2)) % m

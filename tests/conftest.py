@@ -1,5 +1,7 @@
-"""Shared desk-scale scenarios for the solver and experiment tests, and the
-test-local per-state integrand oracle with its per-node quadrature."""
+"""Shared desk-scale scenarios for the solver and experiment tests, the
+test-local per-state integrand oracle with its per-node quadrature, and the
+Littlewood-Paley form of the Besov-Morrey norm as an oracle for the heat
+form."""
 
 import math
 
@@ -8,10 +10,11 @@ import pytest
 
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, VectorField, leray_project
-from mildlab.fields import gaussian, solenoidal_gaussian, radial_homogeneous_force
+from mildlab.fields import gaussian, solenoidal_gaussian, radial_homogeneous_force, smooth_step
 from mildlab.state import StateTuple
 from mildlab.admissibility import ExponentSet
 from mildlab.duhamel import ForceField
+from mildlab.norms import morrey_norm
 from mildlab.solver import SolverConfig, smallness_check
 
 
@@ -92,6 +95,59 @@ def node_quadrature(grid, rule, t, integrand_at, gamma=0.0):
         scale = t * w * (1.0 - z) ** rule.a * z ** rule.b * math.exp(-gamma * s)
         acc = acc + scale * np.exp(-s * grid.k2) * integrand_at(t * z)
     return acc
+
+
+class LittlewoodPaleyBank:
+    """Dyadic frequency blocks from a smooth radial cutoff.
+
+    chi is 1 on [0, 3/2] and supported in [0, 5/3); the blocks
+    phi_j(xi) = chi(2^-j |xi|) - chi(2^(1-j) |xi|) telescope to 1 on the
+    annuli the window [j_min, j_max] covers, one block past the grid's
+    lowest and highest nonzero frequency on each side.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        k = np.sqrt(grid.k2)
+        self.j_min = math.floor(math.log2(np.pi / grid.box_half_width)) - 1
+        self.j_max = math.ceil(math.log2(k.max())) + 1
+        self._absk = k
+
+    @staticmethod
+    def cutoff(z):
+        """chi: 1 on [0, 3/2], support in [0, 5/3)."""
+        z = np.asarray(z, dtype=float)
+        return 1.0 - smooth_step((z - 1.5) / (5.0 / 3.0 - 1.5))
+
+    def block_multiplier(self, j):
+        return self.cutoff(self._absk / 2.0 ** j) - self.cutoff(self._absk / 2.0 ** (j - 1))
+
+    def blocks(self):
+        return range(self.j_min, self.j_max + 1)
+
+    def apply_block(self, field, j):
+        return SpectralField(self.grid, field.coeffs * self.block_multiplier(j))
+
+    def partition_defect(self):
+        """max |sum_j phi_j - 1| over nonzero lattice frequencies inside
+        the covered annulus."""
+        total = sum(self.block_multiplier(j) for j in self.blocks())
+        covered = (self._absk >= (5.0 / 6.0) * 2.0 ** self.j_min) & \
+                  (self._absk <= 1.5 * 2.0 ** self.j_max)
+        covered &= self._absk > 0
+        if not covered.any():
+            return math.inf
+        return float(np.abs(total[covered] - 1.0).max())
+
+
+def besov_morrey_norm_lp(field, idx, s, bank=None):
+    """Test-local oracle: the Littlewood-Paley form sup_j 2^{s j}
+    ||block_j u||_{M^p_p1}, each block normed on its own by ``morrey_norm``
+    (no shared pruning), NaN if any block is."""
+    if bank is None:
+        bank = LittlewoodPaleyBank(field.grid)
+    return float(np.max([2.0 ** (s * j) * morrey_norm(bank.apply_block(field, j), idx)
+                         for j in bank.blocks()], initial=0.0))
 
 
 def scale_data(data, factor):

@@ -8,7 +8,9 @@ from mildlab.spectral import SpectralField, VectorField
 from mildlab.fields import (gaussian, homogeneous_scalar, azimuthal_homogeneous_velocity,
                             bump)
 from mildlab.state import StateTuple, Trajectory
+from mildlab.norms import x_space_series
 from mildlab.solver import caloric_extension
+import mildlab.experiments as experiments
 from mildlab.experiments import (SelfSimilarWindow, verify_self_similar, fit_decay_rate,
                                  tail_decreasing, asymptotic_stability_run)
 
@@ -88,6 +90,30 @@ def test_fit_exact_power_law():
     for component in ("n", "grad_c", "grad_v", "u"):
         fit = fit_decay_rate(traj, component, exponents_2d())
         assert abs(fit.fitted + 0.5) < 1e-10, component
+
+
+@pytest.mark.parametrize("component", ["n", "u"])
+def test_fit_norms_only_its_component(small_solve_2d, component, monkeypatch):
+    # all five series of the 36 stored times take 485 backward transforms
+    traj, exps = small_solve_2d["traj"], small_solve_2d["exps"]
+    full = x_space_series(traj, exps)[component]  # also fills the ball caches
+    backwards, series = [], []
+    real, real_series = Grid.backward, experiments.weighted_series
+
+    def counted(grid, coeffs):
+        backwards.append(coeffs.shape)
+        return real(grid, coeffs)
+
+    def kept(*args):
+        series.append(real_series(*args))
+        return series[-1]
+
+    monkeypatch.setattr(Grid, "backward", counted)
+    monkeypatch.setattr(experiments, "weighted_series", kept)
+    fit_decay_rate(traj, component, exps)
+    assert len(series) == 1 and np.array_equal(series[0], full)
+    # 85 (n) and 119 (u) when this was written
+    assert len(backwards) <= 160
 
 
 def test_fit_zero_component_not_applicable():

@@ -1,13 +1,16 @@
 """Source hygiene: no module of the package, and no test module, imports a
-name it never uses, and no module of the package calls ``print`` (it
-reports through ``logging``).
+name it never uses; no module of the package calls ``print`` (it reports
+through ``logging``) or defines a name that nothing else names.
 
 No linter ships with the toolchain, so the checks read each module's
 syntax tree: every name an ``import`` binds must be read somewhere in the
-same module, and no call may name the builtin ``print``.
+same module, no call may name the builtin ``print``, and every top-level
+``def`` and ``class`` of the package must be named outside its own
+definition, in the package, the tests or the benchmark harness.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "mildlab").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -60,3 +64,36 @@ def test_check_flags_a_print_call():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_print_calls(path):
     assert print_calls(path.read_text()) == [], path.name
+
+
+def dead_names(package, others):
+    """Top-level ``def`` and ``class`` names of the ``package`` sources that
+    appear as a whole word nowhere outside their own definition: not in the
+    rest of their module, another package source or ``others``.  Words are
+    counted, not syntax-tree names, because the benchmark tracer names its
+    targets in strings."""
+    dead = []
+    for i, source in enumerate(package):
+        lines = source.splitlines(keepends=True)
+        elsewhere = package[:i] + package[i + 1:] + others
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                word = re.compile(rf"\b{node.name}\b")
+                rest = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+                if not any(word.search(text) for text in [rest] + elsewhere):
+                    dead.append(node.name)
+    return dead
+
+
+def test_check_flags_a_dead_name():
+    assert any(path.name == "tracing.py" for path in HARNESS)
+    package = ["def used():\n    return 1\n\n\ndef dead():\n    return dead()\n",
+               "class Named:\n    pass\n\n\ndef helper():\n    return used()\n"]
+    assert dead_names(package, ["wrap('Named')\n"]) == ["dead", "helper"]
+    assert dead_names(["def f():\n    pass\n"], ["f_1 = g.f2\n"]) == ["f"]
+
+
+def test_no_dead_names():
+    texts = [path.read_text() for path in PACKAGE]
+    others = [path.read_text() for path in SOURCES[len(PACKAGE):] + HARNESS]
+    assert dead_names(texts, others) == []

@@ -11,14 +11,14 @@ import mildlab.norms as norms
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, gradient, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
-from mildlab.norms import (MorreyIndex, BallSampling, LittlewoodPaleyBank, morrey_norm,
-                           morrey_sup, besov_morrey_norm_heat, besov_morrey_norm_lp,
+from mildlab.norms import (MorreyIndex, BallSampling, morrey_norm,
+                           morrey_sup, besov_morrey_norm_heat,
                            x_space_norms, x_space_series, data_norm_I, data_norm_components,
                            smoothing_constant, PhysicalValues)
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
 
-from conftest import exponents_2d, gaussian_data
+from conftest import LittlewoodPaleyBank, besov_morrey_norm_lp, exponents_2d, gaussian_data
 
 
 def brute_force_morrey(values, grid, p, p1):
@@ -531,15 +531,15 @@ def test_data_norm_scale_invariance():
     # the sup window is capped below the box-homogenization scale: at 2D
     # criticality a mass-carrying field plateaus, and past ~L^2 the torus
     # mean takes over and corrupts the plateau
-    from mildlab.spectral import VectorField, derivative
+    from mildlab.spectral import VectorField
     from mildlab.fields import solenoidal_gaussian
     grid = Grid(2, 96, 12.0)
     exps = _exps_2d()
     # zero-mean cell density: a mass-carrying field at 2D criticality is
     # plateau-valued in time and the plateau collides with the torus mean
-    n0 = derivative(gaussian(grid, a=1.0, amplitude=0.3), 0)
+    n0 = gradient(gaussian(grid, a=1.0, amplitude=0.3)).components[0]
     c0 = gaussian(grid, a=1.5, amplitude=0.2)
-    v0 = SpectralField(grid, derivative(gaussian(grid, a=1.2), 1).coeffs, pinned=True)
+    v0 = SpectralField(grid, gradient(gaussian(grid, a=1.2)).coeffs[1], pinned=True)
     u0 = solenoidal_gaussian(grid, a=1.0, amplitude=0.25)
     data = StateTuple(0.0, n0, c0, v0, u0)
     lam = 2

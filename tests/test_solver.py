@@ -339,6 +339,19 @@ def test_warm_constants_table_makes_no_morrey_norm(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n_fields", [0, -3])
+def test_empty_smoothing_ensemble_is_rejected(n_fields, monkeypatch):
+    # no field measures no ratio: all-zero constants would be cached and
+    # divide by zero in the table
+    import mildlab.norms as norms
+
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    config, _, _ = _forced_map_case(exponents_2d())
+    with pytest.raises(ValueError, match=f"n_fields >= 1, got {n_fields}"):
+        measured_constants(config, n_fields=n_fields)
+    assert norms._SMOOTHING_CACHE == {}
+
+
 @pytest.mark.parametrize("exps, distinct", [
     (exponents_2d(), 5),
     (exponents_3d(), 5),
