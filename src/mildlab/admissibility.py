@@ -1,7 +1,11 @@
 """Exponent bookkeeping: the admissibility clauses on (p, q, r) and their
-sub-indices, derived time weights, and the endpoint exponents of every
-singular time integral."""
+sub-indices, and the two exponent tables the other modules read:
+``ExponentSet.x_terms`` (the Morrey pair and time weight of each X-norm
+term) and ``operator_table`` (the beta arguments and heat-smoothing step
+of each operator constant)."""
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 # relative slack for clauses designed to sit at equality
@@ -36,25 +40,17 @@ class ExponentSet:
         for name in ("p", "q", "r", "p1", "q1", "r1", "N1", "gamma"):
             setattr(self, name, float(getattr(self, name)))
 
-    @property
-    def l_q(self):
-        return 1.0 - self.N / (2.0 * self.q)
-
-    @property
-    def mu_r(self):
-        return 0.5 - self.N / (2.0 * self.r)
-
-    @property
-    def mu_p(self):
-        return 0.5 - self.N / (2.0 * self.p)
-
-    def regularity_indices(self):
-        """Besov-Morrey smoothness of the data classes: all negative when
-        admissible."""
-        return {"n0": self.N / self.q - 2.0,
-                "grad_c0": self.N / self.r - 1.0,
-                "grad_v0": self.N / self.r - 1.0,
-                "u0": self.N / self.p - 1.0}
+    def x_terms(self):
+        """The X-norm's terms by name: the Morrey pair (p, p1) and time
+        weight w of each, l_q = 1 - N/2q, mu_r = 1/2 - N/2r or mu_p = 1/2 -
+        N/2p (0 for the sup of c).  A weighted term's data class is the
+        Besov-Morrey space of smoothness -2w over its pair."""
+        N, mu_r = self.N, 0.5 - self.N / (2.0 * self.r)
+        return {"n": (self.q, self.q1, 1.0 - N / (2.0 * self.q)),
+                "c_sup": (math.inf, math.inf, 0.0),
+                "grad_c": (self.r, self.r1, mu_r),
+                "grad_v": (self.r, self.r1, mu_r),
+                "u": (self.p, self.p1, 0.5 - N / (2.0 * self.p))}
 
 
 @dataclass
@@ -98,23 +94,38 @@ def _case_tag(N, p, q, r, failures):
     return tag if ok else ""
 
 
-def beta_arguments(exps):
-    """Arguments (x, y) of every beta-function factor in the bilinear and
-    linear operator bounds; all must be positive for integrability."""
-    N, p, q, r = exps.N, exps.p, exps.q, exps.r
+#: an operator constant's beta arguments (x, y), and the source and target Morrey
+#: pairs (p, p1) of the heat (or heat-gradient) smoothing step in its proof
+OperatorRow = namedtuple("OperatorRow", "beta source target gradient")
+
+
+def operator_table(exps):
+    """Every operator constant of the bilinear and linear bounds, by name.
+    Beta arguments must be positive for integrability; the table itself
+    never raises, so ``check_admissible`` can report on any exponents."""
+    N, p, q, r, n1 = exps.N, exps.p, exps.q, exps.r, exps.N1
+    p1, q1, r1 = exps.p1, exps.q1, exps.r1
     np2, nq2, nr2 = N / (2.0 * p), N / (2.0 * q), N / (2.0 * r)
+
+    # Hoelder exponents ab/(a + b) of the products each bilinear term smooths,
+    # NaN where a + b = 0, so that the table never raises
+    def pair(a, b):
+        return a * b / (a + b) if a + b else math.nan
+    pq, rq, pr, nq = pair(p, q), pair(r, q), pair(p, r), pair(N, q)
+    s1, s2, s3, s4 = pair(p1, q1), pair(r1, q1), pair(p1, r1), pair(n1, q1)
+    inf = (math.inf, math.inf)
     return {
-        "C1": (0.5 - np2, -0.5 + np2 + nq2),
-        "C2": (0.5 - nr2, -0.5 + nq2 + nr2),
-        "C3": (0.5 - nr2, -0.5 + nq2 + nr2),
-        "C4_1": (0.5 - np2, 0.5 + np2),
-        "C4_2": (0.5 - np2, np2 + nr2),
-        "C5_1": (1.0 - nq2, nq2),
-        "C5_2": (0.5 - nq2 + nr2, nq2),
-        "C6": (0.5 - np2, np2 + nr2),
-        "C7": (0.5 - np2, N / p),
-        "alpha": (0.5 - nq2 + nr2, nq2),
-        "beta": (0.5 + np2 - nq2, nq2),
+        "C1": OperatorRow((0.5 - np2, -0.5 + np2 + nq2), (pq, s1), (q, q1), True),
+        "C2": OperatorRow((0.5 - nr2, -0.5 + nq2 + nr2), (rq, s2), (q, q1), True),
+        "C3": OperatorRow((0.5 - nr2, -0.5 + nq2 + nr2), (rq, s2), (q, q1), True),
+        "C4_1": OperatorRow((0.5 - np2, 0.5 + np2), (p, p1), inf, True),
+        "C4_2": OperatorRow((0.5 - np2, np2 + nr2), (pr, s3), (r, r1), True),
+        "C5_1": OperatorRow((1.0 - nq2, nq2), (q, q1), inf, False),
+        "C5_2": OperatorRow((0.5 - nq2 + nr2, nq2), (q, q1), (r, r1), True),
+        "C6": OperatorRow((0.5 - np2, np2 + nr2), (pr, s3), (r, r1), True),
+        "C7": OperatorRow((0.5 - np2, N / p), (p / 2, p1 / 2), (p, p1), True),
+        "alpha": OperatorRow((0.5 - nq2 + nr2, nq2), (q, q1), (r, r1), True),
+        "beta": OperatorRow((0.5 + np2 - nq2, nq2), (nq, s4), (p, p1), False),
     }
 
 
@@ -147,10 +158,11 @@ def check_admissible(exps):
         failures.append(f"(D): p1(1/N1 + 1/q1) <= p(1/N + 1/q) fails "
                         f"({p1 * (1.0 / n1 + 1.0 / q1):g} vs {p * (1.0 / N + 1.0 / q):g})")
 
-    for name, val in (("l_q", exps.l_q), ("mu_r", exps.mu_r), ("mu_p", exps.mu_p)):
-        if val <= 0:
-            failures.append(f"derived weight {name} = {val:g} is not positive")
-    for name, (x, y) in beta_arguments(exps).items():
+    for name, (_, _, w) in exps.x_terms().items():
+        if name != "c_sup" and w <= 0:
+            failures.append(f"time weight of {name} = {w:g} is not positive")
+    for name, row in operator_table(exps).items():
+        x, y = row.beta
         if x <= 0 or y <= 0:
             failures.append(f"beta argument of {name} not positive: ({x:g}, {y:g})")
 

@@ -6,10 +6,11 @@ weight (1-z)^(-a) z^(-b) on (0, 1), where (a, b) = (1 - x, 1 - y) for the
 beta-function arguments (x, y) of the constant that bounds the term.
 Gauss-Jacobi rules for that weight reproduce b(x, y) exactly on
 constants, which is the identity behind the operator constants C1..C7,
-alpha and beta.  Their names are the keys of ``beta_arguments``:
+alpha and beta.  Their names are the keys of ``operator_table``:
 ``constant_bound`` takes one of them, and ``ConstantsTable`` holds the
-constants in a dict keyed by them.  The terms themselves are
-evaluated by ``solver.picard_map``.
+constants in a dict keyed by them.  ``TERMS`` gives each term's constant
+and the component it is added to; the terms themselves are evaluated by
+``solver.picard_map``.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as special
 
-from .admissibility import beta_arguments
+from .admissibility import operator_table
 from .norms import MorreyIndex, morrey_norm
 
 
@@ -53,29 +54,31 @@ class QuadratureRule:
         return f"QuadratureRule(a={self.a:g}, b={self.b:g}, nodes={self.node_count})"
 
 
-#: the operator constant whose beta factor bounds each Duhamel term
-TAG_CONSTANTS = {"B141": "C1", "B112": "C2", "B113": "C3", "B242": "C4_1", "B212": "C5_1",
-                 "B343": "C6", "B444": "C7", "L3": "alpha", "L4": "beta"}
-ALL_TAGS = tuple(TAG_CONSTANTS)
+#: each Duhamel term: the operator constant whose beta factor bounds it,
+#: and the component of the trajectory it is added to
+TERMS = {"B141": ("C1", "n"), "B112": ("C2", "n"), "B113": ("C3", "n"),
+         "B242": ("C4_1", "c"), "B212": ("C5_1", "c"), "B343": ("C6", "v"),
+         "B444": ("C7", "u"), "L3": ("alpha", "v"), "L4": ("beta", "u")}
+ALL_TAGS = tuple(TERMS)
 
 
 def rule_exponents(tag, exps):
     """Endpoint exponents (a, b) of one term's singular time integral:
     (1 - x, 1 - y) for the beta arguments (x, y) of its constant."""
-    if tag not in TAG_CONSTANTS:
+    if tag not in TERMS:
         raise ValueError(f"unknown operator tag {tag!r}")
-    x, y = beta_arguments(exps)[TAG_CONSTANTS[tag]]
+    x, y = operator_table(exps)[TERMS[tag][0]].beta
     return 1.0 - x, 1.0 - y
 
 
 def constant_bound(name, exps, force=None):
     """b(x, y) at the beta arguments (x, y) of one operator constant, named
-    as in ``beta_arguments``; beta, the force's constant, is scaled by the
+    as in ``operator_table``; beta, the force's constant, is scaled by the
     force's Morrey norm at (N, N1) and is 0 without a force."""
-    arguments = beta_arguments(exps)
-    if name not in arguments:
+    table = operator_table(exps)
+    if name not in table:
         raise ValueError(f"unknown operator constant {name!r}")
-    x, y = arguments[name]
+    x, y = table[name].beta
     if x <= 0 or y <= 0:
         raise ValueError(f"exponents not admissible for {name}: "
                          f"beta argument ({x:g}, {y:g}) not positive")
@@ -99,7 +102,7 @@ class ForceField:
 
 @dataclass
 class ConstantsTable:
-    """The operator constants, keyed by their ``beta_arguments`` names, with
+    """The operator constants, keyed by their ``operator_table`` names, with
     the contraction bookkeeping K1/K2 and the smallness threshold."""
 
     constants: dict

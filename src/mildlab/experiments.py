@@ -114,13 +114,13 @@ def _tail_indices(times):
 
 def fit_decay_rate(traj, component, exps, sampling=None):
     """Least-squares slope of log norm vs log t on the tail, against the
-    critical rate the weighted space predicts; the norm is the component's
-    ``x_space_series`` entry, built without the other terms, times
-    t^predicted."""
-    predicted = {"n": -exps.l_q, "grad_c": -exps.mu_r, "grad_v": -exps.mu_r,
-                 "u": -exps.mu_p}.get(component)
-    if predicted is None:
+    critical rate -w the space predicts for a term of weight w (none for
+    the unweighted c_sup); the norm is the component's ``x_space_series``
+    entry, built without the other terms, times t^predicted."""
+    terms = exps.x_terms()
+    if component not in terms or terms[component][2] == 0.0:
         raise ValueError(f"no predicted rate for component {component!r}")
+    predicted = -terms[component][2]
     weighted = weighted_series(*_x_space_terms(traj, exps)[component], sampling)
     idx = _tail_indices(traj.times)
     tail = weighted[idx] * traj.times[idx] ** predicted

@@ -262,24 +262,26 @@ class XNormsRecord:
         self.total = self.n_norm + self.c_norm + self.v_norm + self.u_norm
 
 
+#: the state component each X-norm term norms, and whether it norms its gradient
+_TERM_FIELDS = {"n": ("n", False), "c_sup": ("c", False), "grad_c": ("c", True),
+                "grad_v": ("v", True), "u": ("u", False)}
+
+
 def _x_space_terms(traj, exps):
-    """The five terms of the X-norm of a ``Trajectory``, keyed n, c_sup,
-    grad_c, grad_v and u: each a Morrey index and a generator of its rows
-    (t^weight, field) over the stored times, which makes each field when
+    """The five terms of the X-norm of a ``Trajectory``, keyed as in
+    ``ExponentSet.x_terms``: each a Morrey index and a generator of its
+    rows (t^w, field) over the stored times, which makes each field when
     it is read."""
     from .spectral import gradient
 
-    def rows(power, make):
-        return ((float(t) ** power, make(k)) for k, t in enumerate(traj.times))
+    # a helper, not a comprehension, so each generator binds its own w
+    def term(p, p1, w, component, derivative):
+        def make(k):
+            field = traj.field(component, k)
+            return gradient(field) if derivative else field
+        return MorreyIndex(p, p1), ((float(t) ** w, make(k)) for k, t in enumerate(traj.times))
 
-    idx_r = MorreyIndex(exps.r, exps.r1)
-    return {
-        "n": (MorreyIndex(exps.q, exps.q1), rows(exps.l_q, lambda k: traj.field("n", k))),
-        "c_sup": (MorreyIndex(math.inf, math.inf), rows(0.0, lambda k: traj.field("c", k))),
-        "grad_c": (idx_r, rows(exps.mu_r, lambda k: gradient(traj.field("c", k)))),
-        "grad_v": (idx_r, rows(exps.mu_r, lambda k: gradient(traj.field("v", k)))),
-        "u": (MorreyIndex(exps.p, exps.p1), rows(exps.mu_p, lambda k: traj.field("u", k))),
-    }
+    return {name: term(*row, *_TERM_FIELDS[name]) for name, row in exps.x_terms().items()}
 
 
 def x_space_norms(traj, exps, sampling=None):
@@ -311,23 +313,22 @@ def data_norm_I(data, exps, time_grid=None, sampling=None):
 
 
 def data_norm_components(data, exps, time_grid=None, sampling=None):
-    """The five summands of the initial-data norm, by name."""
+    """The five summands of the initial-data norm, by name: the sup of c0,
+    and each weighted X-norm term's Besov-Morrey norm of smoothness -2w."""
     from .spectral import gradient
 
-    reg = exps.regularity_indices()
-    idx_q = MorreyIndex(exps.q, exps.q1)
-    idx_r = MorreyIndex(exps.r, exps.r1)
-    idx_p = MorreyIndex(exps.p, exps.p1)
+    terms = exps.x_terms()
 
-    def heat_sup(field, idx, name):
-        return besov_morrey_norm_heat(field, idx, reg[name], time_grid, sampling)
+    def heat_sup(name, field):
+        p, p1, w = terms[name]
+        return besov_morrey_norm_heat(field, MorreyIndex(p, p1), -2.0 * w, time_grid, sampling)
 
     return {
-        "n0": heat_sup(data.n, idx_q, "n0"),
+        "n0": heat_sup("n", data.n),
         "c0_sup": float(np.abs(data.c.to_physical()).max()),
-        "grad_c0": heat_sup(gradient(data.c), idx_r, "grad_c0"),
-        "grad_v0": heat_sup(gradient(data.v), idx_r, "grad_v0"),
-        "u0": heat_sup(data.u, idx_p, "u0"),
+        "grad_c0": heat_sup("grad_c", gradient(data.c)),
+        "grad_v0": heat_sup("grad_v", gradient(data.v)),
+        "u0": heat_sup("u", data.u),
     }
 
 

@@ -24,12 +24,8 @@ from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_projec
     spectral_divergence_defect, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
 from .duhamel import QuadratureRule, rule_exponents, constant_bound, ConstantsTable, \
-    ForceField, ALL_TAGS
-from .admissibility import require_admissible
-
-#: the component of the trajectory each Duhamel term is added to
-_TARGETS = {"B141": "n", "B112": "n", "B113": "n", "B242": "c", "B212": "c",
-            "B343": "v", "L3": "v", "B444": "u", "L4": "u"}
+    ForceField, ALL_TAGS, TERMS
+from .admissibility import require_admissible, operator_table
 
 
 def _require_grid(config, **named):
@@ -69,7 +65,7 @@ class SolverConfig:
     def rules(self):
         """The Gauss-Jacobi rule of every tag, one object per distinct weight.
         Exponents are compared rounded to 12 decimals, because
-        ``beta_arguments`` reaches one value by different float sums (B444
+        ``operator_table`` reaches one value by different float sums (B444
         and L4 at (N, p, q, r) = (3, 5, 2.5, 4)); a shared rule has the
         exponents of the last of its tags in ``ALL_TAGS`` order."""
         exponents = {tag: rule_exponents(tag, self.exps) for tag in ALL_TAGS}
@@ -229,12 +225,13 @@ def picard_map(traj, data, config):
     if force is not None and not np.abs(force.f.coeffs).any():
         force = None
     rules = config.rules()
-    # cell-flux terms that share a rule are one flux n (sum of their vectors)
+    # the cell-flux terms (those added to n) that share a rule are one flux
     cell = {}
-    for tag in ("B141", "B112", "B113"):
+    for tag in (tag for tag, (_, target) in TERMS.items() if target == "n"):
         cell[rules[tag]] = cell.get(rules[tag], ()) + (tag,)
     store = _integrand_store(traj, force, tuple(cell.values()))
-    group_of = {tags: (rules[tags[0]], config.gamma if _TARGETS[tags[0]] == "v" else 0.0)
+    target_of = {tags: TERMS[tags[0]][1] for tags in store}
+    group_of = {tags: (rules[tags[0]], config.gamma if target_of[tags] == "v" else 0.0)
                 for tags in store}
     # a stack's modes, by its length: L3 spans every mode, a product the
     # dealiased ones; a group's weights live on the shells of the modes it reads
@@ -260,7 +257,7 @@ def picard_map(traj, data, config):
             if gathered[0] != key:
                 gathered = (key, weights[key[0]][:, columns[key]])
             rows = gathered[1]
-            flat[_TARGETS[tags[0]]][kk][..., modes[stack.shape[-1]]] += np.einsum(
+            flat[target_of[tags]][kk][..., modes[stack.shape[-1]]] += np.einsum(
                 "jm,j...m->...m", rows, stack[:len(rows)])
     # the attractant is defined modulo constants: pin its zero mode
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
@@ -312,50 +309,21 @@ def picard_solve(data, config, constants=None):
     return x, trace
 
 
-#: smoothing-estimate measurement behind each constant: source and target
-#: Morrey pairs of the heat (or heat-gradient) step in its proof
-def _smoothing_pairs(exps):
-    p, q, r, n1 = exps.p, exps.q, exps.r, exps.N1
-    p1, q1, r1 = exps.p1, exps.q1, exps.r1
-    s1 = p1 * q1 / (p1 + q1)
-    s2 = r1 * q1 / (r1 + q1)
-    s3 = p1 * r1 / (p1 + r1)
-    s4 = n1 * q1 / (n1 + q1)
-    pq = p * q / (p + q)
-    rq = r * q / (r + q)
-    pr = p * r / (p + r)
-    nq = exps.N * q / (exps.N + q)
-    inf = math.inf
-    pairs = {
-        "C1": (pq, s1, q, q1, True),
-        "C2": (rq, s2, q, q1, True),
-        "C3": (rq, s2, q, q1, True),
-        "C4_1": (p, p1, inf, inf, True),
-        "C4_2": (pr, s3, r, r1, True),
-        "C5_1": (q, q1, inf, inf, False),
-        "C5_2": (q, q1, r, r1, True),
-        "C6": (pr, s3, r, r1, True),
-        "C7": (p / 2, p1 / 2, p, p1, True),
-        "alpha": (q, q1, r, r1, True),
-        "beta": (nq, s4, p, p1, False),
-    }
-    if p1 / 2 < 1:
-        raise ValueError("the velocity self-product needs an inner exponent "
-                         f"p1 >= 2, got p1 = {p1:g}")
-    return pairs
-
-
 def measured_constants(config, n_fields=None):
     """Empirical smoothing constants, measured in one pass, times the exact
     beta factors of every operator constant of the map; a constant whose
-    beta factor is 0 (beta without a force) is 0 without a measurement."""
+    beta factor is 0 (beta without a force) is 0 without a measurement.
+    Each constant's smoothing step is its ``operator_table`` row."""
     grid = config.grid
     if n_fields is None:
         n_fields = 8 if grid.dim == 2 else 5
-    pairs = _smoothing_pairs(config.exps)
-    bounds = {name: constant_bound(name, config.exps, config.force) for name in pairs}
-    requests = {name: (MorreyIndex(sp, sp1), MorreyIndex(dp, dp1), deriv)
-                for name, (sp, sp1, dp, dp1, deriv) in pairs.items() if bounds[name] != 0.0}
+    if config.exps.p1 / 2 < 1:   # C7's source pair is (p/2, p1/2)
+        raise ValueError("the velocity self-product needs an inner exponent "
+                         f"p1 >= 2, got p1 = {config.exps.p1:g}")
+    table = operator_table(config.exps)
+    bounds = {name: constant_bound(name, config.exps, config.force) for name in table}
+    requests = {name: (MorreyIndex(*row.source), MorreyIndex(*row.target), row.gradient)
+                for name, row in table.items() if bounds[name] != 0.0}
     measured = smoothing_constant(grid, requests, n_fields=n_fields, sampling=config.sampling)
     return {name: 0.0 if bound == 0.0 else bound * measured[name]
             for name, bound in bounds.items()}

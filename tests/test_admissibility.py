@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mildlab.admissibility import (ExponentSet, check_admissible, suggest_subindices,
-                                   beta_arguments)
+                                   operator_table)
 
 
 def worked_3d():
@@ -37,12 +37,17 @@ def test_2d_case_iii_set_admissible():
 
 def test_weights_positive_for_admissible():
     e = worked_3d()
-    assert e.l_q > 0 and e.mu_r > 0 and e.mu_p > 0
-    assert all(v < 0 for v in e.regularity_indices().values())
+    # l_q = 1 - N/2q, mu_r = 1/2 - N/2r, mu_p = 1/2 - N/2p at N = 3, q = 3, p = r = 4
+    weights = {name: w for name, (_, _, w) in e.x_terms().items()}
+    assert weights == {"n": 0.5, "c_sup": 0.0, "grad_c": 0.125, "grad_v": 0.125, "u": 0.125}
+    # every weighted term's data class has negative smoothness -2w
+    weights.pop("c_sup")
+    assert all(-2.0 * w < 0 for w in weights.values())
 
 
 def test_beta_arguments_positive_when_admissible():
-    for name, (x, y) in beta_arguments(worked_3d()).items():
+    for name, row in operator_table(worked_3d()).items():
+        x, y = row.beta
         assert x > 0 and y > 0, name
 
 
@@ -51,6 +56,16 @@ def test_boundary_p_equals_N_fails_beta_positivity():
     report = check_admissible(e)
     assert not report.admissible
     assert any("beta argument" in msg for msg in report.failed_clauses)
+
+
+def test_report_when_a_product_exponent_is_undefined():
+    # p + q = 0 leaves the Hoelder pair pq/(p + q) undefined: the verdict
+    # names the violated clauses instead of raising
+    e = ExponentSet(N=3, gamma=0.0, p=-3, q=3, r=4, p1=1, q1=2, r1=8 / 3, N1=2)
+    report = check_admissible(e)
+    assert not report.admissible
+    assert "case(ii): N < p < inf fails for p=-3" in report.failed_clauses
+    assert any("beta argument of C1" in msg for msg in report.failed_clauses)
 
 
 def test_suggest_matches_worked_example():

@@ -123,6 +123,15 @@ def test_fit_zero_component_not_applicable():
     assert not fit.applicable
 
 
+@pytest.mark.parametrize("component", ["c_sup", "c", "grad_n"])
+def test_fit_rejects_a_term_without_a_predicted_rate(component):
+    # c_sup is an X-norm term, but unweighted: the space predicts no decay
+    grid = Grid(2, 16, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 1.5, 12).times)
+    with pytest.raises(ValueError, match=f"no predicted rate for component '{component}'"):
+        fit_decay_rate(traj, component, exponents_2d())
+
+
 def test_caloric_gaussian_decay_2d():
     # closed form: the q-norm of a spreading 2D Gaussian falls at rate
     # (N/2)(1 - 1/q) = 2/3 once t >> a; critical prediction is l_q = 2/3

@@ -1,12 +1,16 @@
 """Source hygiene: no module of the package, and no test module, imports a
 name it never uses; no module of the package calls ``print`` (it reports
-through ``logging``) or defines a name that nothing else names.
+through ``logging``), defines a name that nothing else names, or spells an
+operator constant's name outside the two modules that own the tables.
 
 No linter ships with the toolchain, so the checks read each module's
 syntax tree: every name an ``import`` binds must be read somewhere in the
-same module, no call may name the builtin ``print``, and every top-level
+same module, no call may name the builtin ``print``, every top-level
 ``def`` and ``class`` of the package must be named outside its own
-definition, in the package, the tests or the benchmark harness.
+definition, in the package, the tests or the benchmark harness, and a
+string constant may name C1..C7, C4_1..C5_2, alpha or beta only in
+``admissibility.py`` (the operator table) and ``duhamel.py`` (the terms
+and the constants table).
 """
 
 import ast
@@ -97,3 +101,28 @@ def test_no_dead_names():
     texts = [path.read_text() for path in PACKAGE]
     others = [path.read_text() for path in SOURCES[len(PACKAGE):] + HARNESS]
     assert dead_names(texts, others) == []
+
+
+#: operator-constant names, and the modules that may spell them as strings
+CONSTANT_NAME = re.compile(r"C[1-7]|C[45]_[12]|alpha|beta")
+CONSTANT_OWNERS = ("admissibility.py", "duhamel.py")
+
+
+def constant_literals(source):
+    """Lines of string constants that are an operator constant's name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and CONSTANT_NAME.fullmatch(node.value)]
+
+
+def test_check_flags_a_constant_literal():
+    assert {path.name for path in PACKAGE} >= set(CONSTANT_OWNERS) | {"solver.py"}
+    assert constant_literals("table = {'C4_1': 1.0}\nx = table['beta']\n") == [1, 2]
+    assert constant_literals("f('C8', 'C4_3', 'alphabet', 'C1 ')\ng(C1, beta=2)\n") == []
+    assert constant_literals('"""C1 and beta in a docstring."""\n') == []
+
+
+@pytest.mark.parametrize("path", [path for path in PACKAGE if path.name not in CONSTANT_OWNERS],
+                         ids=lambda p: p.name)
+def test_constant_names_only_in_the_tables(path):
+    assert constant_literals(path.read_text()) == [], path.name

@@ -18,7 +18,8 @@ from mildlab.norms import (MorreyIndex, BallSampling, morrey_norm,
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
 
-from conftest import LittlewoodPaleyBank, besov_morrey_norm_lp, exponents_2d, gaussian_data
+from conftest import (LittlewoodPaleyBank, besov_morrey_norm_lp, exponents_2d, exponents_3d,
+                      gaussian_data)
 
 
 def brute_force_morrey(values, grid, p, p1):
@@ -550,6 +551,26 @@ def test_data_norm_scale_invariance():
     a = data_norm_I(data, exps, time_grid=tg)
     b = data_norm_I(scaled, exps, time_grid=tg)
     assert abs(a - b) / a < 0.10
+
+
+@pytest.mark.parametrize("exps, m, half_width, count", [
+    (exponents_2d(), 32, 6.0, 10), (exponents_3d(), 12, 4.0, 6)], ids=["2d", "3d"])
+def test_data_norm_and_x_norm_share_weights(exps, m, half_width, count):
+    # each data summand is the sup over t of t^w ||e^{t Lap} f0|| at the
+    # X-norm term's pair and weight w, so with gamma = 0 it is the X-norm
+    # of the caloric extension on the same time grid, bit for bit
+    from mildlab.solver import caloric_extension
+    grid = Grid(exps.N, m, half_width)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, count)
+    data = gaussian_data(grid)
+    parts = data_norm_components(data, exps, time_grid=tg)
+    caloric = caloric_extension(data, 0.0, tg)
+    record = x_space_norms(caloric, exps)
+    assert parts["n0"] == record.n_norm
+    assert parts["u0"] == record.u_norm
+    assert parts["grad_v0"] == record.v_norm
+    assert parts["grad_c0"] == x_space_series(caloric, exps)["grad_c"].max()
+    assert parts["n0"] > 0 and parts["grad_c0"] > 0
 
 
 def test_smoothing_constant_finite_and_cached():

@@ -13,11 +13,11 @@ from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat
     leray_project, spectral_divergence_defect
 from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
-from mildlab.admissibility import suggest_subindices
+from mildlab.admissibility import suggest_subindices, operator_table
 from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents
 from mildlab.norms import MorreyIndex, x_space_norms, smoothing_constant
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
-                            smallness_check, measured_constants, _smoothing_pairs)
+                            smallness_check, measured_constants)
 
 from conftest import (exponents_2d, exponents_3d, gaussian_data, scale_data,
                       integrand_spectrum, node_quadrature)
@@ -310,12 +310,12 @@ def test_measured_constants_equal_each_request_alone(exps, monkeypatch):
     config, _, _ = _forced_map_case(exps)
     table = measured_constants(config, n_fields=2)
     sup_targets = 0
-    for name, (sp, sp1, dp, dp1, deriv) in _smoothing_pairs(exps).items():
+    for name, row in operator_table(exps).items():
         norms._SMOOTHING_CACHE.clear()
-        request = {name: (MorreyIndex(sp, sp1), MorreyIndex(dp, dp1), deriv)}
+        request = {name: (MorreyIndex(*row.source), MorreyIndex(*row.target), row.gradient)}
         alone = smoothing_constant(config.grid, request, n_fields=2)[name]
         assert table[name] == constant_bound(name, exps, config.force) * alone, name
-        sup_targets += math.isinf(dp)
+        sup_targets += math.isinf(row.target[0])
     assert sup_targets == 2
 
 
@@ -349,6 +349,21 @@ def test_empty_smoothing_ensemble_is_rejected(n_fields, monkeypatch):
     config, _, _ = _forced_map_case(exponents_2d())
     with pytest.raises(ValueError, match=f"n_fields >= 1, got {n_fields}"):
         measured_constants(config, n_fields=n_fields)
+    assert norms._SMOOTHING_CACHE == {}
+
+
+def test_velocity_self_product_needs_p1_at_least_two(monkeypatch):
+    # admissible, but C7's source pair (p/2, p1/2) is no Morrey pair
+    import mildlab.norms as norms
+
+    exps = suggest_subindices(2, 0.0, 2.5, 3, 3)
+    assert exps is not None and 1.9 < exps.p1 < 2
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    grid = Grid(2, 8, 4.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 4)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=4)
+    with pytest.raises(ValueError, match=r"p1 >= 2, got p1 = 1\.92"):
+        measured_constants(config, n_fields=1)
     assert norms._SMOOTHING_CACHE == {}
 
 
