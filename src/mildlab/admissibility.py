@@ -146,6 +146,13 @@ def check_admissible(exps):
         if not (_leq(1.0, sub) and _leq(sub, outer)):
             failures.append(f"(A): 1 <= {name} <= {name[0] if name != 'N1' else 'N'} "
                             f"fails for {name}={sub:g}")
+    # every later clause divides by these exponents
+    zeros = [name for name in ("N", "p", "q", "r", "p1", "q1", "r1", "N1")
+             if getattr(exps, name) == 0]
+    if zeros:
+        failures.append(f"{', '.join(zeros)} = 0 leaves clauses (B)-(D), the time "
+                        "weights and the beta arguments undefined")
+        return AdmissibilityReport(False, tag, failures)
     for label, a, b in (("1/p1 + 1/q1", p1, q1), ("1/r1 + 1/q1", r1, q1),
                         ("1/p1 + 1/r1", p1, r1), ("1/N1 + 1/q1", n1, q1)):
         if not _leq(1.0 / a + 1.0 / b, 1.0):

@@ -7,7 +7,8 @@ once.  The result is a lower estimate of the continuum sup and is exact
 for the discrete sampling it states.
 
 Every sup of Morrey norms here (the X-norm's sup over stored times, the
-heat form of the Besov-Morrey norm) is one
+heat form of the Besov-Morrey norm, and each smoothing constant's sup
+over random fields and times) is one ``morrey_sup``, a
 branch-and-bound over the (row, radius) pairs of a weighted family
 w_i f_i, with a single field's norm as the one-row case.  A ball's local
 mass is at most the total mass sum |f_i|^p1 dV, and at most the peak
@@ -20,8 +21,6 @@ widened by 1e-9 for FFT round-off, falls below the best value over all
 rows so far.  Since fl(w x) is monotone in x, no skipped pair could have
 raised the max, and the value is bit-identical to norming every row in
 full.  Each row's search is one ``morrey_norm`` call.
-
-One smoothing pass norms each evolved field once, as ``PhysicalValues``.
 """
 
 import math
@@ -313,23 +312,20 @@ def data_norm_I(data, exps, time_grid=None, sampling=None):
 
 
 def data_norm_components(data, exps, time_grid=None, sampling=None):
-    """The five summands of the initial-data norm, by name: the sup of c0,
-    and each weighted X-norm term's Besov-Morrey norm of smoothness -2w."""
+    """The five summands of the initial-data norm, keyed n0, c0_sup, grad_c0,
+    grad_v0 and u0: the sup of c0, and each weighted X-norm term's Besov-Morrey
+    norm of smoothness -2w, of the data's field ``_TERM_FIELDS`` names."""
     from .spectral import gradient
 
-    terms = exps.x_terms()
-
-    def heat_sup(name, field):
-        p, p1, w = terms[name]
+    def summand(name, p, p1, w):
+        component, derivative = _TERM_FIELDS[name]
+        field = gradient(getattr(data, component)) if derivative else getattr(data, component)
+        if math.isinf(p):
+            return float(np.abs(_as_values(field)).max())
         return besov_morrey_norm_heat(field, MorreyIndex(p, p1), -2.0 * w, time_grid, sampling)
 
-    return {
-        "n0": heat_sup("n", data.n),
-        "c0_sup": float(np.abs(data.c.to_physical()).max()),
-        "grad_c0": heat_sup("grad_c", gradient(data.c)),
-        "grad_v0": heat_sup("grad_v", gradient(data.v)),
-        "u0": heat_sup("u", data.u),
-    }
+    keys = {"n": "n0", "c_sup": "c0_sup", "grad_c": "grad_c0", "grad_v": "grad_v0", "u": "u0"}
+    return {keys[name]: summand(name, *row) for name, row in exps.x_terms().items()}
 
 
 #: most smoothing constants kept; the oldest entry is dropped first
@@ -337,18 +333,18 @@ _SMOOTHING_CACHE_SIZE = 256
 _SMOOTHING_CACHE = {}
 
 
-def smoothing_constant(grid, requests, n_fields=8, seed=1234, sampling=None):
+def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
     """Measured constants of the heat smoothing estimates
-    ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over random fields,
-    for a mapping name -> (src index, dst index, derivative); returns
-    name -> constant.
+    ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over ``n_fields``
+    random fields, for a mapping name -> (src index, dst index,
+    derivative); returns name -> constant.
 
-    Each is the sup ratio over 17 geometric times from h^2 to min(L^2,
-    1e4 h^2) and the field ensemble, cached per (grid geometry, ball
-    sampling, index, ensemble) signature.  Requests not cached share one
-    walk over the ensemble, which forms each evolved field, its values
-    and each distinct Morrey norm of them once.  An empty ensemble
-    measures nothing and is rejected.
+    Each is the sup of t^pow ||(grad) e^{t Lap} f||_dst / ||f||_src over 17
+    geometric times from h^2 to min(L^2, 1e4 h^2) and the field ensemble,
+    one ``morrey_sup`` per request, cached per (grid geometry, ball
+    sampling, index, ensemble) signature.  Requests not cached share the
+    evolved fields: each is made once and taken to physical space once per
+    derivative kind.  An empty ensemble measures nothing and is rejected.
     """
     if n_fields < 1:
         raise ValueError(f"smoothing constants need n_fields >= 1, got {n_fields}")
@@ -374,8 +370,8 @@ def smoothing_constant(grid, requests, n_fields=8, seed=1234, sampling=None):
 
 
 def _smoothing_sups(grid, requests, n_fields, seed, sampling):
-    """The sup ratio of every request (key -> (src, dst, derivative)) over
-    one walk of the ensemble."""
+    """Each request's constant: one ``morrey_sup`` over the rows (t^pow /
+    ||f||_src, (grad) e^{t Lap} f) of each ensemble field f and time t."""
     from .fields import random_band_limited
     from .spectral import gradient
 
@@ -384,21 +380,20 @@ def _smoothing_sups(grid, requests, n_fields, seed, sampling):
     N = grid.dim
     power = {key: (N / (2.0 * src.p) if dst.is_sup else (N / 2.0) * (1.0 / src.p - 1.0 / dst.p))
              + (0.5 if derivative else 0.0) for key, (src, dst, derivative) in requests.items()}
-    best = dict.fromkeys(requests, 0.0)
-    for i in range(n_fields):
-        f = random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
-        f_values = PhysicalValues(grid, f.to_physical())
-        src_norm = {src: morrey_norm(f_values, src, sampling)
-                    for src in dict.fromkeys(src for src, _, _ in requests.values())}
-        live = {key: request for key, request in requests.items() if src_norm[request[0]] != 0}
-        targets = dict.fromkeys((dst, derivative) for _, dst, derivative in live.values())
-        for t in time_grid.times:
-            evolved = heat_apply(f, t)
-            values = {d: PhysicalValues(grid, _as_values(gradient(evolved) if d else evolved))
-                      for d in {derivative for _, derivative in targets}}
-            dst_norm = {(dst, derivative): morrey_norm(values[derivative], dst, sampling)
-                        for dst, derivative in targets}
-            for key, (src, dst, derivative) in live.items():
-                ratio = dst_norm[dst, derivative] / (t ** (-power[key]) * src_norm[src])
-                best[key] = max(best[key], ratio)
-    return best
+    ensemble = [random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
+                for i in range(n_fields)]
+    sources = [PhysicalValues(grid, f.to_physical()) for f in ensemble]
+    values = {derivative: [] for _, _, derivative in requests.values()}
+    for f in ensemble:
+        evolved = [heat_apply(f, t) for t in time_grid.times]
+        for d, per_field in values.items():
+            per_field.append([PhysicalValues(grid, _as_values(gradient(e) if d else e))
+                              for e in evolved])
+
+    def rows(key, src, derivative):
+        f_norms = (morrey_norm(source, src, sampling) for source in sources)
+        return ((t ** power[key] / norm, v) for norm, series in zip(f_norms, values[derivative])
+                if norm != 0 for t, v in zip(time_grid.times, series))
+
+    return {key: morrey_sup(grid, rows(key, src, derivative), dst, sampling)
+            for key, (src, dst, derivative) in requests.items()}

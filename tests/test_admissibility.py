@@ -1,10 +1,12 @@
 """Admissibility clauses, sub-index suggestion, and the worked exponent sets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mildlab.admissibility import (ExponentSet, check_admissible, suggest_subindices,
-                                   operator_table)
+from mildlab.admissibility import (ExponentSet, check_admissible, require_admissible,
+                                   suggest_subindices, operator_table)
 
 
 def worked_3d():
@@ -66,6 +68,20 @@ def test_report_when_a_product_exponent_is_undefined():
     assert not report.admissible
     assert "case(ii): N < p < inf fails for p=-3" in report.failed_clauses
     assert any("beta argument of C1" in msg for msg in report.failed_clauses)
+
+
+@pytest.mark.parametrize("changes", [dict(p=0, p1=1), dict(p1=0), dict(q=0), dict(r1=0),
+                                     dict(N1=0)], ids=["p", "p1", "q", "r1", "N1"])
+def test_report_when_an_exponent_is_zero(changes):
+    # every clause after (A) divides by the exponents; a zero one is named
+    # in the verdict, not raised as ZeroDivisionError
+    e = dataclasses.replace(worked_3d(), **changes)
+    zero = next(name for name, value in changes.items() if value == 0)
+    report = check_admissible(e)
+    assert not report.admissible
+    assert any(msg.startswith(f"{zero} = 0 leaves") for msg in report.failed_clauses)
+    with pytest.raises(ValueError, match=f"{zero} = 0 leaves"):
+        require_admissible(e)
 
 
 def test_suggest_matches_worked_example():

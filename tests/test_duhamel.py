@@ -330,7 +330,8 @@ def test_measured_operator_bound_b141(caloric_setup):
     s1 = exps.p1 * exps.q1 / (exps.p1 + exps.q1)
     pq = exps.p * exps.q / (exps.p + exps.q)
     c_smooth = smoothing_constant(
-        grid, {"C1": (MorreyIndex(pq, s1), MorreyIndex(exps.q, exps.q1), True)})["C1"]
+        grid, {"C1": (MorreyIndex(pq, s1), MorreyIndex(exps.q, exps.q1), True)},
+        n_fields=8)["C1"]
     bound = c_smooth * constant_bound("C1", exps) * rec.u_norm * rec.n_norm
     idx_q = MorreyIndex(exps.q, exps.q1)
     l_q = 1 - exps.N / (2 * exps.q)

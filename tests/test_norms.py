@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mildlab.norms as norms
 from mildlab.grids import Grid, TimeGrid
-from mildlab.spectral import SpectralField, gradient, rescale_field
+from mildlab.spectral import SpectralField, gradient, heat_apply, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
 from mildlab.norms import (MorreyIndex, BallSampling, morrey_norm,
                            morrey_sup, besov_morrey_norm_heat,
@@ -580,7 +580,34 @@ def test_smoothing_constant_finite_and_cached():
     c2 = smoothing_constant(grid, request, n_fields=4)["c"]
     assert 0 < c1 < np.inf and c1 == c2
     with pytest.raises(ValueError):
-        smoothing_constant(grid, {"c": (MorreyIndex(4, 3), MorreyIndex(2, 1.5), False)})
+        smoothing_constant(grid, {"c": (MorreyIndex(4, 3), MorreyIndex(2, 1.5), False)},
+                           n_fields=4)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16, 2.0), Grid(3, 8, 2.0)], ids=["2d", "3d"])
+def test_smoothing_constant_is_the_brute_force_sup_ratio(grid, monkeypatch):
+    # each constant is the max over every (field, time) of
+    # ||(grad) e^{t Lap} f||_dst / (t^-pow ||f||_src), with every radius normed
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
+    requests = {"sup": (src, MorreyIndex(math.inf, math.inf), False),
+                "grad": (src, dst, True)}
+    measured = smoothing_constant(grid, requests, n_fields=3, seed=1234)
+    N, h2 = grid.dim, grid.spacing ** 2
+    times = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17).times
+    ratios = {"sup": [], "grad": []}
+    for i in range(3):
+        f = random_band_limited(grid, 1234 + i, corr_cells=3.0 + (i % 4))
+        f_norm = all_radii_morrey(f, src)
+        for t in times:
+            evolved = heat_apply(f, t)
+            peak = np.abs(evolved.to_physical()).max()
+            ratios["sup"].append(peak / (t ** (-N / (2.0 * src.p)) * f_norm))
+            magnitude = SpectralField.from_physical(grid, gradient(evolved).magnitude())
+            power = (N / 2.0) * (1.0 / src.p - 1.0 / dst.p) + 0.5
+            ratios["grad"].append(all_radii_morrey(magnitude, dst) / (t ** (-power) * f_norm))
+    for name, values in ratios.items():
+        assert measured[name] == pytest.approx(max(values), rel=1e-13, abs=0), name
 
 
 def test_smoothing_cache_keeps_samplings_apart():

@@ -339,6 +339,29 @@ def test_warm_constants_table_makes_no_morrey_norm(monkeypatch):
     assert calls == []
 
 
+def test_cold_constants_transform_each_evolved_field_once(monkeypatch):
+    # every request reads one set of evolved values, and each row is taken
+    # forward only when its search convolves a radius: 54 forward transforms
+    # when this was written
+    import mildlab.norms as norms
+
+    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+    exps = exponents_2d()
+    grid = Grid(2, 16, 4.0)
+    config = SolverConfig(exps=exps, grid=grid, time_grid=TimeGrid.spanning(0.1, 1.0, 4),
+                          force=ForceField(radial_homogeneous_force(grid), exps.N1))
+    forwards = []
+    real = Grid.forward
+
+    def counted(grid, values):
+        forwards.append(values.shape)
+        return real(grid, values)
+
+    monkeypatch.setattr(Grid, "forward", counted)
+    measured_constants(config, n_fields=2)
+    assert len(forwards) <= 80
+
+
 @pytest.mark.parametrize("n_fields", [0, -3])
 def test_empty_smoothing_ensemble_is_rejected(n_fields, monkeypatch):
     # no field measures no ratio: all-zero constants would be cached and
