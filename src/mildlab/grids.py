@@ -24,8 +24,8 @@ class Grid:
         m = int(points_per_axis)
         if m < 8 or m % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {points_per_axis}")
-        if box_half_width <= 0:
-            raise ValueError(f"box_half_width must be positive, got {box_half_width}")
+        if not 0 < box_half_width < np.inf:
+            raise ValueError(f"box_half_width must be positive and finite, got {box_half_width}")
         self.dim = dim
         self.m = m
         self.box_half_width = float(box_half_width)
@@ -49,8 +49,8 @@ class Grid:
                                                          for mode in modes)), axis=0)
 
         self.x = _per_axis([-self.box_half_width + self.spacing * np.arange(m)] * dim)
-        self._ball_cache = {}
-        self._radius_factors = {}
+        # ball spectra, radius factors and smoothing constants, kept by ``norms``
+        self._cache = {}
 
     def _spectral_axes(self, full, half):
         """Per-axis spectral values, the last axis on the half spectrum."""
@@ -94,10 +94,10 @@ class TimeGrid:
     """Strictly increasing geometric times t_k = t0 * ratio**k."""
 
     def __init__(self, t0, ratio, count):
-        if t0 <= 0:
-            raise ValueError(f"t0 must be positive, got {t0}")
-        if ratio <= 1:
-            raise ValueError(f"ratio must exceed 1, got {ratio}")
+        if not 0 < t0 < np.inf:
+            raise ValueError(f"t0 must be positive and finite, got {t0}")
+        if not 1 < ratio < np.inf:
+            raise ValueError(f"ratio must exceed 1 and be finite, got {ratio}")
         if count < 2:
             raise ValueError(f"count must be at least 2, got {count}")
         self.t0 = float(t0)

@@ -13,14 +13,16 @@ branch-and-bound over the (row, radius) pairs of a weighted family
 w_i f_i, with a single field's norm as the one-row case.  A ball's local
 mass is at most the total mass sum |f_i|^p1 dV, and at most the peak
 max |f_i|^p1 dV times the ball's lattice-point count, so the pair is
-worth at most w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  Rows
-are visited in order of decreasing largest bound, and each row's radii in
+worth at most w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1), which
+pass 1 (``_powered``) computes once per row and stores on it.  Rows are
+visited in order of decreasing largest bound, and each row's radii in
 order of decreasing bound; a row is transformed forward only when one of
 its radii is convolved, and a row's search ends at the first bound that,
 widened by 1e-9 for FFT round-off, falls below the best value over all
 rows so far.  Since fl(w x) is monotone in x, no skipped pair could have
 raised the max, and the value is bit-identical to norming every row in
-full.  Each row's search is one ``morrey_norm`` call.
+full.  Each row's search is one ``morrey_norm`` call.  Ball spectra, radius
+factors and smoothing constants are cached in one dict on their ``Grid``.
 """
 
 import math
@@ -33,32 +35,19 @@ from .grids import TimeGrid
 from .spectral import SpectralField, VectorField, heat_apply
 
 
-class MorreyIndex:
-    """Index pair (p, p1) of the local-maximal space M^p_{p1}."""
+class MorreyIndex(namedtuple("MorreyIndex", "p p1")):
+    """Index pair (p, p1) of the Morrey space M^p_{p1}; (inf, inf) is L^inf."""
 
-    __slots__ = ("p", "p1")
+    __slots__ = ()
 
-    def __init__(self, p, p1):
-        if math.isinf(p) and math.isinf(p1):
-            self.p, self.p1 = math.inf, math.inf
-            return
-        if not (1 <= p1 <= p):
+    def __new__(cls, p, p1):
+        if not 1 <= p1 <= p:
             raise ValueError(f"need 1 <= p1 <= p, got p={p}, p1={p1}")
-        self.p = float(p)
-        self.p1 = float(p1)
+        return super().__new__(cls, float(p), float(p1))
 
     @property
     def is_sup(self):
         return math.isinf(self.p)
-
-    def __repr__(self):
-        return f"MorreyIndex({self.p:g}, {self.p1:g})"
-
-    def __eq__(self, other):
-        return (self.p, self.p1) == (other.p, other.p1)
-
-    def __hash__(self):
-        return hash((self.p, self.p1))
 
 
 class BallSampling:
@@ -70,8 +59,9 @@ class BallSampling:
 
     def __init__(self, center_stride, radii):
         radii = tuple(float(r) for r in radii)
-        if not radii or radii[0] <= 0:
-            raise ValueError(f"radii must be a non-empty list of positive values, got {radii}")
+        if not radii or not all(0 < r < math.inf for r in radii):
+            raise ValueError(f"radii must be a non-empty list of positive values, each finite, "
+                             f"got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
         if center_stride < 1:
@@ -109,33 +99,34 @@ def _ball_indicator(grid, radius):
     return grid.radius() <= radius * (1 + 1e-12)
 
 
+def _cached(grid, key, make):
+    """``grid._cache[key]``, made by ``make()`` on the first request."""
+    if key not in grid._cache:
+        grid._cache[key] = make()
+    return grid._cache[key]
+
+
 def _ball_spectrum(grid, radius):
-    cache = grid._ball_cache
-    key = round(radius, 12)
-    if key not in cache:
-        cache[key] = grid.forward(_ball_indicator(grid, radius).astype(float))
-    return cache[key]
+    return _cached(grid, ("ball", round(radius, 12)),
+                   lambda: grid.forward(_ball_indicator(grid, radius).astype(float)))
 
 
 def _radius_factors(grid, exponent, radii):
     """R^exponent and the ball's lattice-point count for each radius, as
     arrays; the counts come without transforming any indicator."""
-    cache = grid._radius_factors
-    key = (exponent, radii)
-    if key not in cache:
-        cache[key] = (np.array([radius ** exponent for radius in radii]),
-                      np.array([np.count_nonzero(_ball_indicator(grid, radius))
-                                for radius in radii]))
-    return cache[key]
+    return _cached(grid, ("radii", exponent, radii), lambda: (
+        np.array([radius ** exponent for radius in radii]),
+        np.array([np.count_nonzero(_ball_indicator(grid, radius)) for radius in radii])))
 
 
 #: values already in physical space, with their grid: a field (or a vector
 #: field's magnitude) transformed once and normed more than once
 PhysicalValues = namedtuple("PhysicalValues", "grid values")
 
-#: a row of a Morrey sup after pass 1: |f|^p1 in physical space, and the
-#: total and peak of |f|^p1 dV that bound its radii
-PoweredValues = namedtuple("PoweredValues", "grid p1 powered total peak")
+#: a row of a Morrey sup after pass 1: |f|^p1 in physical space, the total
+#: of |f|^p1 dV, and per sampled radius the factor R^(N/p - N/p1) and the
+#: bound R^(N/p - N/p1) min(total, peak count(R))^(1/p1), peak = max |f|^p1 dV
+PoweredValues = namedtuple("PoweredValues", "grid powered total scale bounds")
 
 
 def _as_values(field):
@@ -146,19 +137,13 @@ def _as_values(field):
     return field.values
 
 
-def _powered(field, p1):
+def _powered(field, idx, sampling):
     grid = field.grid
-    powered = np.abs(_as_values(field)) ** p1
-    return PoweredValues(grid, p1, powered, powered.sum() * grid.cell_volume,
-                         powered.max() * grid.cell_volume)
-
-
-def _radius_bounds(row, idx, sampling):
-    """Per sampled radius, the factor R^(N/p - N/p1) and the bound
-    R^(N/p - N/p1) min(total, peak count(R))^(1/p1) of a powered row."""
-    exponent = row.grid.dim * (1.0 / idx.p - 1.0 / row.p1)
-    scale, counts = _radius_factors(row.grid, exponent, sampling.radii)
-    return scale, scale * np.minimum(row.total, row.peak * counts) ** (1.0 / row.p1)
+    powered = np.abs(_as_values(field)) ** idx.p1
+    total, peak = powered.sum() * grid.cell_volume, powered.max() * grid.cell_volume
+    scale, counts = _radius_factors(grid, grid.dim * (1.0 / idx.p - 1.0 / idx.p1), sampling.radii)
+    return PoweredValues(grid, powered, total, scale,
+                         scale * np.minimum(total, peak * counts) ** (1.0 / idx.p1))
 
 
 def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
@@ -174,20 +159,20 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
     is convolved.  The value is bit-identical to max(floor, w max_R ...)
     over every sampled radius.  A field whose total mass is not finite (a
     NaN or inf value) has norm NaN.  ``field`` may also be the
-    ``PoweredValues`` pass 1 of ``morrey_sup`` made for index p1.
+    ``PoweredValues`` pass 1 of ``morrey_sup`` made for ``idx`` and
+    ``sampling``.
     """
     if idx.is_sup:
         return _sup((floor, weight * float(np.abs(_as_values(field)).max())))
-    row = field if isinstance(field, PoweredValues) else _powered(field, idx.p1)
+    grid = field.grid
+    if sampling is None:
+        sampling = BallSampling.default_for(grid)
+    row = field if isinstance(field, PoweredValues) else _powered(field, idx, sampling)
     if not math.isfinite(row.total):
         return math.nan
     if row.total == 0.0:
         return float(floor)
-    grid = row.grid
-    if sampling is None:
-        sampling = BallSampling.default_for(grid)
-    scale, bounds = _radius_bounds(row, idx, sampling)
-    bounds = weight * bounds
+    bounds = weight * row.bounds
     stride = (slice(None, None, sampling.center_stride),) * grid.dim
     spectrum = None
     best = floor
@@ -198,7 +183,7 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
             spectrum = grid.forward(row.powered)
         conv = grid.backward(spectrum * _ball_spectrum(grid, sampling.radii[j]))
         local_mass = max(conv[stride].max(), 0.0) * grid.cell_volume
-        best = max(best, weight * (scale[j] * local_mass ** (1.0 / row.p1)))
+        best = max(best, weight * (row.scale[j] * local_mass ** (1.0 / idx.p1)))
     return float(best)
 
 
@@ -224,10 +209,10 @@ def morrey_sup(grid, rows, idx, sampling=None):
         sampling = BallSampling.default_for(grid)
     rows_bounded = []
     for weight, field in rows:
-        row = _powered(field, idx.p1)
+        row = _powered(field, idx, sampling)
         if not math.isfinite(row.total):
             return math.nan
-        rows_bounded.append((weight * _radius_bounds(row, idx, sampling)[1].max(), weight, row))
+        rows_bounded.append((weight * row.bounds.max(), weight, row))
     best = 0.0
     for _, weight, row in sorted(rows_bounded, key=lambda item: -item[0]):
         best = morrey_norm(row, idx, sampling, weight, best)
@@ -328,11 +313,6 @@ def data_norm_components(data, exps, time_grid=None, sampling=None):
     return {keys[name]: summand(name, *row) for name, row in exps.x_terms().items()}
 
 
-#: most smoothing constants kept; the oldest entry is dropped first
-_SMOOTHING_CACHE_SIZE = 256
-_SMOOTHING_CACHE = {}
-
-
 def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
     """Measured constants of the heat smoothing estimates
     ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over ``n_fields``
@@ -341,10 +321,11 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
 
     Each is the sup of t^pow ||(grad) e^{t Lap} f||_dst / ||f||_src over 17
     geometric times from h^2 to min(L^2, 1e4 h^2) and the field ensemble,
-    one ``morrey_sup`` per request, cached per (grid geometry, ball
-    sampling, index, ensemble) signature.  Requests not cached share the
-    evolved fields: each is made once and taken to physical space once per
-    derivative kind.  An empty ensemble measures nothing and is rejected.
+    one ``morrey_sup`` per request, cached on the grid per (ball sampling,
+    index, ensemble) signature, so a constant lives as long as its grid.
+    Requests not cached share the evolved fields: each is made once and
+    taken to physical space once per derivative kind.  An empty ensemble
+    measures nothing and is rejected.
     """
     if n_fields < 1:
         raise ValueError(f"smoothing constants need n_fields >= 1, got {n_fields}")
@@ -355,18 +336,14 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
                              f"(src {src_idx}, dst {dst_idx})")
     if sampling is None:
         sampling = BallSampling.default_for(grid)
-    keys = {name: ((grid.dim, grid.m, grid.box_half_width),
-                   (sampling.center_stride, sampling.radii),
-                   src.p, src.p1, dst.p, dst.p1, derivative, n_fields, seed)
+    keys = {name: ("smoothing", sampling.center_stride, sampling.radii, src, dst, derivative,
+                   n_fields, seed)
             for name, (src, dst, derivative) in requests.items()}
-    found = {key: _SMOOTHING_CACHE[key] for key in keys.values() if key in _SMOOTHING_CACHE}
-    missing = {key: requests[name] for name, key in keys.items() if key not in found}
+    missing = {key: requests[name] for name, key in keys.items() if key not in grid._cache}
     if missing:
         for key, value in _smoothing_sups(grid, missing, n_fields, seed, sampling).items():
-            while len(_SMOOTHING_CACHE) >= _SMOOTHING_CACHE_SIZE:
-                del _SMOOTHING_CACHE[next(iter(_SMOOTHING_CACHE))]
-            _SMOOTHING_CACHE[key] = found[key] = float(value)
-    return {name: found[key] for name, key in keys.items()}
+            grid._cache[key] = float(value)
+    return {name: grid._cache[key] for name, key in keys.items()}
 
 
 def _smoothing_sups(grid, requests, n_fields, seed, sampling):

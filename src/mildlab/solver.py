@@ -57,6 +57,9 @@ class SolverConfig:
         if self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes}")
         _require_grid(self, force=self.force)
+        if self.force is not None and self.force.n1 != self.exps.N1:
+            raise ValueError(f"force is normed at N1 = {self.force.n1:g}, the exponent "
+                             f"set's N1 = {self.exps.N1:g}")
         if self.gamma != self.exps.gamma:
             raise ValueError(f"config gamma = {self.gamma:g} differs from the exponent "
                              f"set's gamma = {self.exps.gamma:g}")

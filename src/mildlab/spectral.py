@@ -17,12 +17,12 @@ class SpectralField:
     """One real scalar component on a periodic grid; ``VectorField`` shares
     its constructors, transforms and arithmetic.
 
-    ``pinned`` records the convention that the zero mode is held at 0,
-    used for the chemical-attractant component which is only defined up
-    to polynomials.
+    A constructor given ``pinned=True`` copies the coefficients and sets the
+    zero mode to 0, the convention for the attractant, which is defined up
+    to constants; the field does not record it.
     """
 
-    __slots__ = ("grid", "coeffs", "pinned")
+    __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid, coeffs, pinned=False):
         shape = self._leading(grid) + grid.kshape
@@ -30,8 +30,7 @@ class SpectralField:
             raise ValueError(f"coefficient shape {coeffs.shape} does not match {shape} on {grid!r}")
         self.grid = grid
         self.coeffs = coeffs
-        self.pinned = bool(pinned)
-        if self.pinned:
+        if pinned:
             self.coeffs = coeffs.copy()
             self.coeffs[(Ellipsis,) + (0,) * grid.dim] = 0.0
 
@@ -66,14 +65,14 @@ class SpectralField:
     def copy(self):
         return self._like(self.coeffs.copy())
 
-    def _like(self, coeffs, pinned=None):
-        return self.from_coeffs(self.grid, coeffs, self.pinned if pinned is None else pinned)
+    def _like(self, coeffs):
+        return self.from_coeffs(self.grid, coeffs)
 
     def __add__(self, other):
-        return self._like(self.coeffs + other.coeffs, pinned=self.pinned and other.pinned)
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        return self._like(self.coeffs - other.coeffs, pinned=self.pinned and other.pinned)
+        return self._like(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
         return self._like(self.coeffs * scalar)

@@ -91,11 +91,11 @@ class Trajectory:
         return len(self.times)
 
     def field(self, name, k):
-        """Component ``name`` (n, c, v or u) at stored time k as a field: v
-        is a pinned copy, the rest are views."""
+        """Component ``name`` (n, c, v or u) at stored time k as a view of the
+        stored coefficients, so ``validate`` sees v's zero mode as stored."""
         if name == "u":
             return VectorField.from_coeffs(self.grid, self.u[k])
-        return SpectralField(self.grid, getattr(self, name)[k], pinned=name == "v")
+        return SpectralField(self.grid, getattr(self, name)[k])
 
     def state(self, k):
         """The state at stored time k, its fields as ``field`` makes them."""

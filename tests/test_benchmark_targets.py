@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import mildlab.norms as norms
 from mildlab.duhamel import ForceField
 from mildlab.fields import radial_homogeneous_force
 from mildlab.grids import Grid, TimeGrid
@@ -35,10 +34,9 @@ def test_every_benchmark_target_resolves(tracing):
     assert missing == []
 
 
-def test_cold_smoothing_span_has_morrey_children(tracing, monkeypatch):
+def test_cold_smoothing_span_has_morrey_children(tracing):
     # the traced hit ratio counts a smoothing call as a miss only when a
     # Morrey norm runs under its span
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     exps = exponents_2d()
     grid = Grid(2, 8, 4.0)
     config = SolverConfig(exps=exps, grid=grid, time_grid=TimeGrid.spanning(0.1, 1.0, 4),
@@ -52,9 +50,8 @@ def test_cold_smoothing_span_has_morrey_children(tracing, monkeypatch):
     assert "norms.smoothing_constant" in parents
 
 
-def test_every_benchmark_target_records_a_span(tracing, monkeypatch):
+def test_every_benchmark_target_records_a_span(tracing):
     # a wrap point the flow no longer calls through would read 0 in a traced run
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     exps = exponents_2d()
     grid = Grid(2, 16, 4.0)
     config = SolverConfig(exps=exps, grid=grid, quad_nodes=4, max_iters=3,

@@ -220,7 +220,7 @@ def caloric_setup():
         StateTuple(tau, heat_apply(n0, tau), heat_apply(c0, tau),
                    damped_heat_apply(v0, tau, 0.0), heat_apply(u0, tau))
         for tau in time_grid.times])
-    force = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=0.5), n1=1.5)
+    force = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=0.5), n1=2.0)
     return traj, time_grid, force
 
 

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package, and no test module, imports a
 name it never uses; no module of the package calls ``print`` (it reports
-through ``logging``), defines a name that nothing else names, or spells an
-operator constant's name outside the two modules that own the tables.
+through ``logging``), defines a name that nothing else names, spells an
+operator constant's name outside the two modules that own the tables, or
+binds an empty dict, list or set at module level (a cache there outlives
+and is shared by every grid; results computed from a grid live on it).
 
 No linter ships with the toolchain, so the checks read each module's
 syntax tree: every name an ``import`` binds must be read somewhere in the
@@ -126,3 +128,28 @@ def test_check_flags_a_constant_literal():
                          ids=lambda p: p.name)
 def test_constant_names_only_in_the_tables(path):
     assert constant_literals(path.read_text()) == [], path.name
+
+
+def module_caches(source):
+    """Lines of module-level bindings of an empty dict, list or set: an
+    empty literal, or ``dict()``, ``list()`` or ``set()`` with no argument."""
+    def empty(value):
+        if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+            return not (value.elts if hasattr(value, "elts") else value.keys)
+        return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")
+                and not value.args and not value.keywords)
+
+    return [node.lineno for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and empty(node.value)]
+
+
+def test_check_flags_a_module_level_cache():
+    assert module_caches("_CACHE = {}\nA = []\nB: set = set()\nC = D = dict()\n") == [1, 2, 3, 4]
+    assert module_caches("TABLE = {'a': 1}\nX = [1]\nY = set('ab')\nZ: int\n"
+                         "def f():\n    seen = {}\n    return seen\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_caches(path):
+    assert module_caches(path.read_text()) == [], path.name

@@ -585,10 +585,9 @@ def test_smoothing_constant_finite_and_cached():
 
 
 @pytest.mark.parametrize("grid", [Grid(2, 16, 2.0), Grid(3, 8, 2.0)], ids=["2d", "3d"])
-def test_smoothing_constant_is_the_brute_force_sup_ratio(grid, monkeypatch):
+def test_smoothing_constant_is_the_brute_force_sup_ratio(grid):
     # each constant is the max over every (field, time) of
     # ||(grad) e^{t Lap} f||_dst / (t^-pow ||f||_src), with every radius normed
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
     requests = {"sup": (src, MorreyIndex(math.inf, math.inf), False),
                 "grad": (src, dst, True)}
@@ -611,24 +610,19 @@ def test_smoothing_constant_is_the_brute_force_sup_ratio(grid, monkeypatch):
 
 
 def test_smoothing_cache_keeps_samplings_apart():
-    import mildlab.norms as norms
-
-    grid = Grid(2, 32, 4.0)
+    grid, fresh = Grid(2, 32, 4.0), Grid(2, 32, 4.0)
     request = {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)}
     default = BallSampling.default_for(grid)
     coarse = BallSampling(2, default.radii[::2] + default.radii[-1:])
     c_default = smoothing_constant(grid, request, n_fields=2)["c"]
     c_coarse = smoothing_constant(grid, request, n_fields=2, sampling=coarse)["c"]
-    norms._SMOOTHING_CACHE.clear()
-    fresh_coarse = smoothing_constant(grid, request, n_fields=2, sampling=coarse)["c"]
-    fresh_default = smoothing_constant(grid, request, n_fields=2, sampling=default)["c"]
+    fresh_coarse = smoothing_constant(fresh, request, n_fields=2, sampling=coarse)["c"]
+    fresh_default = smoothing_constant(fresh, request, n_fields=2, sampling=default)["c"]
     assert c_coarse == fresh_coarse and c_default == fresh_default
     assert c_coarse != c_default
 
 
 def test_smoothing_cache_never_shares_between_grids():
-    import mildlab.norms as norms
-
     # CPython hands a freed grid's id() to a later grid; allocate 64^2 grids
     # until one takes the freed 16^2 grid's id (or give up after 64)
     request = {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)}
@@ -640,16 +634,4 @@ def test_smoothing_cache_never_shares_between_grids():
     while id(later[-1]) != freed and len(later) < 64:
         later.append(Grid(2, 64, 4.0))
     cached = smoothing_constant(later[-1], request, n_fields=1)["c"]
-    norms._SMOOTHING_CACHE.clear()
-    assert cached == smoothing_constant(later[-1], request, n_fields=1)["c"]
-
-
-def test_smoothing_cache_is_bounded(monkeypatch):
-    import mildlab.norms as norms
-
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE_SIZE", 2)
-    grid = Grid(2, 16, 2.0)
-    for seed in range(3):
-        smoothing_constant(grid, {"c": (MorreyIndex(2, 1.5), MorreyIndex(4, 3), False)},
-                           n_fields=1, seed=seed)
-    assert len(norms._SMOOTHING_CACHE) == 2
+    assert cached == smoothing_constant(Grid(2, 64, 4.0), request, n_fields=1)["c"]

@@ -303,17 +303,15 @@ def test_picard_map_builds_weights_on_the_shells_a_group_reads(exps, monkeypatch
 
 
 @pytest.mark.parametrize("exps", [exponents_2d(), exponents_3d()], ids=["2d", "3d"])
-def test_measured_constants_equal_each_request_alone(exps, monkeypatch):
-    import mildlab.norms as norms
-
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
+def test_measured_constants_equal_each_request_alone(exps):
     config, _, _ = _forced_map_case(exps)
     table = measured_constants(config, n_fields=2)
     sup_targets = 0
     for name, row in operator_table(exps).items():
-        norms._SMOOTHING_CACHE.clear()
+        # a fresh grid of the same geometry measures each request from an empty cache
+        grid = Grid(exps.N, config.grid.m, config.grid.box_half_width)
         request = {name: (MorreyIndex(*row.source), MorreyIndex(*row.target), row.gradient)}
-        alone = smoothing_constant(config.grid, request, n_fields=2)[name]
+        alone = smoothing_constant(grid, request, n_fields=2)[name]
         assert table[name] == constant_bound(name, exps, config.force) * alone, name
         sup_targets += math.isinf(row.target[0])
     assert sup_targets == 2
@@ -322,7 +320,6 @@ def test_measured_constants_equal_each_request_alone(exps, monkeypatch):
 def test_warm_constants_table_makes_no_morrey_norm(monkeypatch):
     import mildlab.norms as norms
 
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     config, _, _ = _forced_map_case(exponents_2d())
     calls = []
     real = norms.morrey_norm
@@ -343,9 +340,6 @@ def test_cold_constants_transform_each_evolved_field_once(monkeypatch):
     # every request reads one set of evolved values, and each row is taken
     # forward only when its search convolves a radius: 54 forward transforms
     # when this was written
-    import mildlab.norms as norms
-
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     exps = exponents_2d()
     grid = Grid(2, 16, 4.0)
     config = SolverConfig(exps=exps, grid=grid, time_grid=TimeGrid.spanning(0.1, 1.0, 4),
@@ -363,31 +357,26 @@ def test_cold_constants_transform_each_evolved_field_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n_fields", [0, -3])
-def test_empty_smoothing_ensemble_is_rejected(n_fields, monkeypatch):
+def test_empty_smoothing_ensemble_is_rejected(n_fields):
     # no field measures no ratio: all-zero constants would be cached and
     # divide by zero in the table
-    import mildlab.norms as norms
-
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     config, _, _ = _forced_map_case(exponents_2d())
+    cached = set(config.grid._cache)
     with pytest.raises(ValueError, match=f"n_fields >= 1, got {n_fields}"):
         measured_constants(config, n_fields=n_fields)
-    assert norms._SMOOTHING_CACHE == {}
+    assert set(config.grid._cache) == cached
 
 
-def test_velocity_self_product_needs_p1_at_least_two(monkeypatch):
+def test_velocity_self_product_needs_p1_at_least_two():
     # admissible, but C7's source pair (p/2, p1/2) is no Morrey pair
-    import mildlab.norms as norms
-
     exps = suggest_subindices(2, 0.0, 2.5, 3, 3)
     assert exps is not None and 1.9 < exps.p1 < 2
-    monkeypatch.setattr(norms, "_SMOOTHING_CACHE", {})
     grid = Grid(2, 8, 4.0)
     tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 4)
     config = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=4)
     with pytest.raises(ValueError, match=r"p1 >= 2, got p1 = 1\.92"):
         measured_constants(config, n_fields=1)
-    assert norms._SMOOTHING_CACHE == {}
+    assert grid._cache == {}
 
 
 @pytest.mark.parametrize("exps, distinct", [
@@ -424,6 +413,15 @@ def test_config_rejects_force_on_another_grid(small_grid, small_config):
     other = Grid(2, 32, 10.0)
     force = ForceField(radial_homogeneous_force(other, amplitude=0.1), 2)
     with pytest.raises(ValueError, match=r"m=32.*m=48|m=48.*m=32"):
+        SolverConfig(exps=exponents_2d(), grid=small_grid,
+                     time_grid=small_config.time_grid, force=force)
+
+
+def test_config_rejects_force_normed_at_another_n1(small_grid, small_config):
+    # the force's Morrey norm at (N, N1) scales beta: another N1 moves the bound
+    force = ForceField(radial_homogeneous_force(small_grid, amplitude=0.1), 1.2)
+    with pytest.raises(ValueError, match=r"force is normed at N1 = 1\.2, the exponent "
+                                         r"set's N1 = 2"):
         SolverConfig(exps=exponents_2d(), grid=small_grid,
                      time_grid=small_config.time_grid, force=force)
 

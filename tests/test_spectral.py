@@ -2,10 +2,13 @@
 damping, solenoidal projection, lattice rescaling; the periodic
 displacement behind the centred field recipes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mildlab.grids import Grid, TimeGrid
+from mildlab.norms import BallSampling
 from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_heat_apply,
                               leray_project, rescale_field, gradient,
                               spectral_divergence_defect)
@@ -193,7 +196,7 @@ def test_pinned_field_keeps_zero_mode(grid):
                                     pinned=True)
     assert f.coeffs[0, 0] == 0.0
     out = heat_apply(f, 0.4)
-    assert out.coeffs[0, 0] == 0.0 and out.pinned
+    assert out.coeffs[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -226,9 +229,32 @@ def test_trajectory_state_velocity_is_a_view():
     assert u.components[0].coeffs[2, 3] == 1.0
 
 
+def test_trajectory_state_sees_the_stored_v_mean():
+    # v is read as stored, not re-pinned, so a map that leaves v's zero
+    # mode non-zero is caught
+    grid = Grid(2, 16, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 2.0, 3).times)
+    traj.v[1, 0, 0] = 0.5
+    assert traj.state(0).validate() == []
+    assert traj.state(1).validate() == ["v zero mode is not pinned to 0"]
+    assert np.shares_memory(traj.field("v", 1).coeffs, traj.v)
+
+
 def test_time_grid_spanning_needs_two_times():
     with pytest.raises(ValueError, match="count must be at least 2, got 1"):
         TimeGrid.spanning(0.1, 1.0, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name, make", [
+    ("box_half_width", lambda bad: Grid(2, 16, bad)),
+    ("t0", lambda bad: TimeGrid(bad, 2.0, 4)),
+    ("ratio", lambda bad: TimeGrid(0.1, bad, 4)),
+    ("radii", lambda bad: BallSampling(1, [0.5, bad])),
+], ids=["L", "t0", "ratio", "radii"])
+def test_non_finite_sizes_are_rejected(name, make, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must .* got .*{bad}"):
+        make(bad)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
