@@ -21,9 +21,7 @@ def gaussian(grid, a=1.0, amplitude=1.0, center=None):
 def gaussian_evolved(grid, a, t, amplitude=1.0, center=None):
     """Closed form of the heat-evolved Gaussian, for oracle comparisons."""
     at = a + 2.0 * t
-    r2 = sum(d ** 2 for d in grid.displacement(center))
-    amp = amplitude * (a / at) ** (grid.dim / 2.0)
-    return SpectralField.from_physical(grid, amp * np.exp(-r2 / (2.0 * at)))
+    return gaussian(grid, at, amplitude * (a / at) ** (grid.dim / 2.0), center)
 
 
 def _planar_vector(grid, first, second):

@@ -49,7 +49,7 @@ class Grid:
                                                          for mode in modes)), axis=0)
 
         self.x = _per_axis([-self.box_half_width + self.spacing * np.arange(m)] * dim)
-        # ball spectra, radius factors and smoothing constants, kept by ``norms``
+        # ``norms``' default sampling, ball spectra, radius factors and smoothing constants
         self._cache = {}
 
     def _spectral_axes(self, full, half):
@@ -103,7 +103,11 @@ class TimeGrid:
         self.t0 = float(t0)
         self.ratio = float(ratio)
         self.count = int(count)
-        self.times = t0 * ratio ** np.arange(self.count)
+        with np.errstate(over="ignore"):
+            self.times = t0 * ratio ** np.arange(self.count)
+        if not np.isfinite(self.times[-1]):
+            raise ValueError(f"t0 * ratio**(count - 1) overflows: t0={t0}, ratio={ratio}, "
+                             f"count={count}")
 
     @classmethod
     def spanning(cls, t_min, t_max, count):

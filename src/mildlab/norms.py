@@ -21,8 +21,9 @@ its radii is convolved, and a row's search ends at the first bound that,
 widened by 1e-9 for FFT round-off, falls below the best value over all
 rows so far.  Since fl(w x) is monotone in x, no skipped pair could have
 raised the max, and the value is bit-identical to norming every row in
-full.  Each row's search is one ``morrey_norm`` call.  Ball spectra, radius
-factors and smoothing constants are cached in one dict on their ``Grid``.
+full.  Each row's search is one ``morrey_norm`` call.  The default ball
+sampling, ball spectra, radius factors and smoothing constants are cached
+in one dict on their ``Grid``.
 """
 
 import math
@@ -73,16 +74,20 @@ class BallSampling:
     def default_for(cls, grid):
         """All distinct lattice distances on small grids, dyadic radii on
         large ones; the full box diameter is always included so the
-        largest ball recovers the global norm."""
-        h = grid.spacing
-        if grid.size <= cls.EXACT_SIZE_LIMIT:
-            return cls(1, lattice_distances(grid))
-        n_oct = int(round(math.log2(grid.m // 2)))
-        radii = [h * 2 ** j for j in range(n_oct + 1)]
-        diameter = grid.box_half_width * math.sqrt(grid.dim)
-        if diameter > radii[-1] * (1 + 1e-9):
-            radii.append(diameter)
-        return cls(1, radii)
+        largest ball recovers the global norm.  Made once per grid."""
+        return _cached(grid, "sampling", lambda: cls(1, _default_radii(grid)))
+
+
+def _default_radii(grid):
+    h = grid.spacing
+    if grid.size <= BallSampling.EXACT_SIZE_LIMIT:
+        return lattice_distances(grid)
+    n_oct = int(round(math.log2(grid.m // 2)))
+    radii = [h * 2 ** j for j in range(n_oct + 1)]
+    diameter = grid.box_half_width * math.sqrt(grid.dim)
+    if diameter > radii[-1] * (1 + 1e-9):
+        radii.append(diameter)
+    return radii
 
 
 def lattice_distances(grid):
@@ -348,7 +353,8 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
 
 def _smoothing_sups(grid, requests, n_fields, seed, sampling):
     """Each request's constant: one ``morrey_sup`` over the rows (t^pow /
-    ||f||_src, (grad) e^{t Lap} f) of each ensemble field f and time t."""
+    ||f||_src, (grad) e^{t Lap} f) of each ensemble field f and time t;
+    each ||f||_src is taken once per distinct source index."""
     from .fields import random_band_limited
     from .spectral import gradient
 
@@ -366,10 +372,13 @@ def _smoothing_sups(grid, requests, n_fields, seed, sampling):
         for d, per_field in values.items():
             per_field.append([PhysicalValues(grid, _as_values(gradient(e) if d else e))
                               for e in evolved])
+    # taken after the evolved fields are made; taken before, a 32^3 solve peaked 13 MB higher
+    src_norms = {src: [morrey_norm(source, src, sampling) for source in sources]
+                 for src in {idx for idx, _, _ in requests.values()}}
 
     def rows(key, src, derivative):
-        f_norms = (morrey_norm(source, src, sampling) for source in sources)
-        return ((t ** power[key] / norm, v) for norm, series in zip(f_norms, values[derivative])
+        return ((t ** power[key] / norm, v)
+                for norm, series in zip(src_norms[src], values[derivative])
                 if norm != 0 for t, v in zip(time_grid.times, series))
 
     return {key: morrey_sup(grid, rows(key, src, derivative), dst, sampling)

@@ -21,7 +21,7 @@ import numpy as np
 from .grids import Grid, TimeGrid
 from .state import StateTuple, Trajectory
 from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
-    spectral_divergence_defect, divergence_defects
+    divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
 from .duhamel import QuadratureRule, rule_exponents, constant_bound, ConstantsTable, \
     ForceField, ALL_TAGS, TERMS
@@ -106,7 +106,7 @@ class IterationTrace:
 
 def _solenoidal(u0):
     """The data velocity, Leray-projected with a warning if it is not solenoidal."""
-    defect = spectral_divergence_defect(u0)
+    defect = float(divergence_defects(u0.grid, u0.coeffs))
     if defect > 1e-10:
         warnings.warn(f"initial velocity has divergence defect {defect:.2e}; projecting")
         return leray_project(u0)

@@ -3,11 +3,12 @@
 Fields are real-valued in physical space and stored as half-spectra
 (``rfftn`` coefficients): a scalar as one ``kshape`` array, a vector field
 as one ``(dim, *kshape)`` array, the layout of a stored trajectory's
-velocity.  Heat flow, damping, the gradient and the solenoidal
-(Leray-Helmholtz) projection are exact diagonal multipliers that
-broadcast over a vector's leading axis; products are formed in physical
-space and 2/3-dealiased (``grid.dealias_mask``) by the callers that need
-them.
+velocity.  Both classes are built by one constructor, ``cls(grid, coeffs)``,
+the only one that pins a zero mode.  Heat flow, damping, the gradient and
+the solenoidal (Leray-Helmholtz) projection are exact diagonal multipliers
+that broadcast over a vector's leading axis; products are formed in
+physical space and 2/3-dealiased (``grid.dealias_mask``) by the callers
+that need them.
 """
 
 import numpy as np
@@ -15,11 +16,12 @@ import numpy as np
 
 class SpectralField:
     """One real scalar component on a periodic grid; ``VectorField`` shares
-    its constructors, transforms and arithmetic.
+    its constructor, transforms and arithmetic.
 
-    A constructor given ``pinned=True`` copies the coefficients and sets the
-    zero mode to 0, the convention for the attractant, which is defined up
-    to constants; the field does not record it.
+    The constructor holds ``coeffs`` itself, not a copy.  Given
+    ``pinned=True`` it copies them and sets the zero mode to 0, the
+    convention for the attractant, which is defined up to constants; the
+    field does not record it.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -40,24 +42,16 @@ class SpectralField:
         return ()
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs, pinned=False):
-        """The field holding ``coeffs`` itself, not a copy (unless pinned)."""
-        field = cls.__new__(cls)
-        SpectralField.__init__(field, grid, coeffs, pinned)
-        return field
-
-    @classmethod
-    def from_physical(cls, grid, values, pinned=False):
+    def from_physical(cls, grid, values):
         values = np.asarray(values, dtype=float)
         shape = cls._leading(grid) + grid.shape
         if values.shape != shape:
             raise ValueError(f"value shape {values.shape} does not match {shape} on {grid!r}")
-        return cls.from_coeffs(grid, grid.forward(values), pinned=pinned)
+        return cls(grid, grid.forward(values))
 
     @classmethod
-    def zero(cls, grid, pinned=False):
-        return cls.from_coeffs(grid, np.zeros(cls._leading(grid) + grid.kshape, dtype=complex),
-                               pinned=pinned)
+    def zero(cls, grid):
+        return cls(grid, np.zeros(cls._leading(grid) + grid.kshape, dtype=complex))
 
     def to_physical(self):
         return self.grid.backward(self.coeffs)
@@ -66,7 +60,7 @@ class SpectralField:
         return self._like(self.coeffs.copy())
 
     def _like(self, coeffs):
-        return self.from_coeffs(self.grid, coeffs)
+        return type(self)(self.grid, coeffs)
 
     def __add__(self, other):
         return self._like(self.coeffs + other.coeffs)
@@ -79,28 +73,27 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self._like(-self.coeffs)
-
 
 class VectorField(SpectralField):
-    """dim real components on one grid, held as one (dim, *kshape) array;
-    ``components`` and iteration give them as scalar fields (views)."""
+    """dim real components on one grid, held as one (dim, *kshape) array:
+    ``VectorField(grid, coeffs)`` holds that array, ``from_components``
+    stacks scalar fields, and ``components`` gives them back (views)."""
 
     __slots__ = ()
 
-    def __init__(self, components):
+    @staticmethod
+    def _leading(grid):
+        return (grid.dim,)
+
+    @classmethod
+    def from_components(cls, components):
         grid = components[0].grid
         if len(components) != grid.dim:
             raise ValueError(f"expected {grid.dim} components, got {len(components)}")
         for comp in components[1:]:
             if not grid.compatible(comp.grid):
                 raise ValueError("vector components live on different grids")
-        super().__init__(grid, np.stack([comp.coeffs for comp in components]))
-
-    @staticmethod
-    def _leading(grid):
-        return (grid.dim,)
+        return cls(grid, np.stack([comp.coeffs for comp in components]))
 
     @property
     def components(self):
@@ -111,27 +104,19 @@ class VectorField(SpectralField):
         are transformed one at a time, so no stack-sized copy is held."""
         return np.sqrt(sum(self.grid.backward(c) ** 2 for c in self.coeffs))
 
-    def __iter__(self):
-        return iter(self.components)
-
 
 def heat_apply(field, t):
-    """e^{t Laplacian}: multiplier exp(-t |xi|^2);  t = 0 is the identity."""
+    """e^{t Laplacian}: multiplier exp(-t |xi|^2), exactly 1 at t = 0."""
     if t < 0:
         raise ValueError(f"heat flow needs t >= 0, got {t}")
-    if t == 0:
-        return field.copy()
     return field._like(field.coeffs * np.exp(-t * field.grid.k2))
 
 
 def damped_heat_apply(field, t, gamma):
-    """e^{-gamma t} e^{t Laplacian}; gamma = 0 reduces exactly to heat_apply."""
+    """e^{-gamma t} e^{t Laplacian}; the factor is exactly 1 at gamma = 0."""
     if t < 0 or gamma < 0:
         raise ValueError(f"need t >= 0 and gamma >= 0, got t={t}, gamma={gamma}")
-    out = heat_apply(field, t)
-    if gamma == 0:
-        return out
-    return out * np.exp(-gamma * t)
+    return heat_apply(field, t) * np.exp(-gamma * t)
 
 
 def gradient(field):
@@ -141,7 +126,7 @@ def gradient(field):
     coeffs = np.empty((grid.dim,) + grid.kshape, dtype=complex)
     for ax, k in enumerate(grid.k):
         np.multiply(field.coeffs, 1j * k, out=coeffs[ax])
-    return VectorField.from_coeffs(grid, coeffs)
+    return VectorField(grid, coeffs)
 
 
 def _dot_k(grid, coeffs):
@@ -156,11 +141,6 @@ def divergence_defects(grid, u):
     scale = np.sqrt(grid.k2.max()) * np.abs(u).max(axis=(-grid.dim - 1,) + spatial)
     num = np.abs(_dot_k(grid, u)).max(axis=spatial)
     return np.divide(num, scale, out=np.zeros_like(num), where=scale > 0)
-
-
-def spectral_divergence_defect(vfield):
-    """max |xi . u_hat| relative to max |u_hat|; 0 for the zero field."""
-    return float(divergence_defects(vfield.grid, vfield.coeffs))
 
 
 def leray_project(vfield):

@@ -7,7 +7,7 @@ the layout of ``spectral``: scalars as (T, *kshape), the velocity as
 
 import numpy as np
 
-from .spectral import SpectralField, VectorField, spectral_divergence_defect
+from .spectral import SpectralField, VectorField, divergence_defects
 
 
 class StateTuple:
@@ -30,7 +30,7 @@ class StateTuple:
     @classmethod
     def zero(cls, grid, t=0.0):
         return cls(t, SpectralField.zero(grid), SpectralField.zero(grid),
-                   SpectralField.zero(grid, pinned=True), VectorField.zero(grid))
+                   SpectralField.zero(grid), VectorField.zero(grid))
 
     @property
     def grid(self):
@@ -48,7 +48,7 @@ class StateTuple:
         dim = self.grid.dim
         if abs(self.v.coeffs[(0,) * dim]) != 0.0:
             problems.append("v zero mode is not pinned to 0")
-        defect = spectral_divergence_defect(self.u)
+        defect = float(divergence_defects(self.grid, self.u.coeffs))
         if defect > div_tol:
             problems.append(f"u divergence defect {defect:.2e} exceeds {div_tol:.0e}")
         return problems
@@ -68,10 +68,11 @@ class Trajectory:
             raise ValueError("empty trajectory")
         if np.any(np.diff(self.times) <= 0) or np.any(self.times <= 0):
             raise ValueError("trajectory times must be positive and strictly increasing")
-        self.n = n
-        self.c = c
-        self.v = v
-        self.u = u
+        for name, array in zip("ncvu", (n, c, v, u)):
+            shape = (len(self.times),) + ((grid.dim,) if name == "u" else ()) + grid.kshape
+            if array.shape != shape:
+                raise ValueError(f"trajectory {name} has shape {array.shape}, not {shape}")
+            setattr(self, name, array)
 
     @classmethod
     def from_states(cls, states):
@@ -93,9 +94,7 @@ class Trajectory:
     def field(self, name, k):
         """Component ``name`` (n, c, v or u) at stored time k as a view of the
         stored coefficients, so ``validate`` sees v's zero mode as stored."""
-        if name == "u":
-            return VectorField.from_coeffs(self.grid, self.u[k])
-        return SpectralField(self.grid, getattr(self, name)[k])
+        return (VectorField if name == "u" else SpectralField)(self.grid, getattr(self, name)[k])
 
     def state(self, k):
         """The state at stored time k, its fields as ``field`` makes them."""

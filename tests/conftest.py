@@ -48,7 +48,8 @@ def _div_contract(grid, phys_components):
 
 
 def _projected(grid, spectra):
-    projected = leray_project(VectorField([SpectralField(grid, c) for c in spectra]))
+    projected = leray_project(VectorField.from_components([SpectralField(grid, c)
+                                                           for c in spectra]))
     return np.stack([c.coeffs for c in projected.components])
 
 

@@ -85,7 +85,7 @@ def test_fit_exact_power_law():
     base = gaussian(grid, a=1.0)
     states = [StateTuple(t, t ** (-0.5) * base, t ** (-0.5) * base,
                          SpectralField(grid, (t ** (-0.5) * base).coeffs, pinned=True),
-                         VectorField([t ** (-0.5) * base] * 2)) for t in tg.times]
+                         VectorField.from_components([t ** (-0.5) * base] * 2)) for t in tg.times]
     traj = Trajectory.from_states(states)
     for component in ("n", "grad_c", "grad_v", "u"):
         fit = fit_decay_rate(traj, component, exponents_2d())
@@ -139,7 +139,7 @@ def test_caloric_gaussian_decay_2d():
     a = 0.04
     tg = TimeGrid.spanning(0.2, 16.0, 24)
     data = StateTuple(0.0, gaussian(grid, a=a), SpectralField.zero(grid),
-                      SpectralField.zero(grid, pinned=True), VectorField.zero(grid))
+                      SpectralField.zero(grid), VectorField.zero(grid))
     traj = caloric_extension(data, 0.0, tg)
     fit = fit_decay_rate(traj, "n", exponents_2d())
     assert abs(fit.fitted - (-2.0 / 3.0)) / (2.0 / 3.0) < 0.05

@@ -423,7 +423,7 @@ def test_x_norms_single_snapshot_unit_time(grid16):
     from mildlab.fields import solenoidal_gaussian
     n = gaussian(grid16, a=0.3, amplitude=0.7)
     c = gaussian(grid16, a=0.4, amplitude=0.2)
-    v = SpectralField.from_physical(grid16, gaussian(grid16, a=0.5).to_physical(), pinned=True)
+    v = SpectralField(grid16, grid16.forward(gaussian(grid16, a=0.5).to_physical()), pinned=True)
     u = solenoidal_gaussian(grid16, a=0.3, amplitude=0.1)
     st = StateTuple(1.0, n, c, v, u)
     exps = _exps_2d()
@@ -498,7 +498,7 @@ def test_data_norm_zero_and_constant_c(grid16):
     assert data_norm_I(zero, exps) == 0.0
     c0 = SpectralField.from_physical(grid16, np.full(grid16.shape, 1.7))
     data = StateTuple(0.0, SpectralField.zero(grid16), c0,
-                      SpectralField.zero(grid16, pinned=True),
+                      SpectralField.zero(grid16),
                       __import__("mildlab.spectral", fromlist=["VectorField"]).VectorField.zero(grid16))
     assert abs(data_norm_I(data, exps) - 1.7) < 1e-12
 
@@ -546,7 +546,8 @@ def test_data_norm_scale_invariance():
     lam = 2
     scaled = StateTuple(0.0, rescale_field(n0, lam, 2.0), rescale_field(c0, lam, 0.0),
                         rescale_field(v0, lam, 0.0),
-                        VectorField([rescale_field(comp, lam, 1.0) for comp in u0.components]))
+                        VectorField.from_components([rescale_field(comp, lam, 1.0)
+                                                     for comp in u0.components]))
     tg = TimeGrid.spanning(grid.spacing ** 2, 25.0, 64)
     a = data_norm_I(data, exps, time_grid=tg)
     b = data_norm_I(scaled, exps, time_grid=tg)
@@ -635,3 +636,34 @@ def test_smoothing_cache_never_shares_between_grids():
         later.append(Grid(2, 64, 4.0))
     cached = smoothing_constant(later[-1], request, n_fields=1)["c"]
     assert cached == smoothing_constant(Grid(2, 64, 4.0), request, n_fields=1)["c"]
+
+
+def test_default_sampling_is_made_once_per_grid(monkeypatch):
+    calls = []
+    real = norms.lattice_distances
+    monkeypatch.setattr(norms, "lattice_distances", lambda grid: calls.append(grid) or real(grid))
+    grid = Grid(2, 16, 4.0)
+    f = gaussian(grid, a=0.5)
+    assert morrey_norm(f, MorreyIndex(4, 3)) > 0 and morrey_norm(f, MorreyIndex(3, 2)) > 0
+    assert calls == [grid]
+    assert BallSampling.default_for(grid) is BallSampling.default_for(grid)
+
+
+def test_smoothing_sources_are_normed_once_per_source_index(monkeypatch):
+    # two requests share a source index, so each ensemble source is normed
+    # in it once; the spy holds every field it sees, so no id() is reused
+    calls = []
+    real = norms.morrey_norm
+
+    def spy(field, idx, *args, **kwargs):
+        calls.append((field, idx))
+        return real(field, idx, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "morrey_norm", spy)
+    src = MorreyIndex(2, 1.5)
+    requests = {"sup": (src, MorreyIndex(math.inf, math.inf), False),
+                "grad": (src, MorreyIndex(4, 3), True)}
+    smoothing_constant(Grid(2, 16, 4.0), requests, n_fields=3)
+    pairs = [(id(field), idx) for field, idx in calls]
+    assert len(pairs) == len(set(pairs))
+    assert sum(isinstance(field, PhysicalValues) for field, _ in calls) == 3

@@ -11,7 +11,7 @@ from mildlab.grids import Grid, TimeGrid
 from mildlab.norms import BallSampling
 from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_heat_apply,
                               leray_project, rescale_field, gradient,
-                              spectral_divergence_defect)
+                              divergence_defects)
 from mildlab.fields import (gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited,
                             bump)
 from mildlab.state import Trajectory
@@ -139,10 +139,10 @@ def test_leray_fixes_solenoidal(grid):
 
 def test_leray_idempotent_and_divergence_free(grid):
     comps = [random_band_limited(grid, seed=17 + i) for i in range(grid.dim)]
-    u = VectorField(comps)
+    u = VectorField.from_components(comps)
     pu = leray_project(u)
     ppu = leray_project(pu)
-    assert spectral_divergence_defect(pu) < 1e-12
+    assert divergence_defects(grid, pu.coeffs) < 1e-12
     for a, b in zip(ppu.components, pu.components):
         assert rel(a.coeffs, b.coeffs) < 1e-13
 
@@ -192,8 +192,8 @@ def test_scaling_commutes_with_heat(grid):
 
 
 def test_pinned_field_keeps_zero_mode(grid):
-    f = SpectralField.from_physical(grid, np.random.default_rng(31).standard_normal(grid.shape),
-                                    pinned=True)
+    f = SpectralField(grid, grid.forward(np.random.default_rng(31).standard_normal(grid.shape)),
+                      pinned=True)
     assert f.coeffs[0, 0] == 0.0
     out = heat_apply(f, 0.4)
     assert out.coeffs[0, 0] == 0.0
@@ -205,7 +205,7 @@ def test_vector_operators_act_per_component(dim):
     # and gives, bit for bit, the scalar operator on each component
     grid = Grid(dim, 16, 4.0)
     comps = [random_band_limited(grid, seed=41 + i) for i in range(dim)]
-    u = VectorField(comps)
+    u = VectorField.from_components(comps)
     assert u.coeffs.shape == (dim,) + grid.kshape
     for op in (lambda f: heat_apply(f, 0.3), lambda f: f * grid.dealias_mask,
                lambda f: rescale_field(f, 2, 1.0)):
@@ -243,6 +243,23 @@ def test_trajectory_state_sees_the_stored_v_mean():
 def test_time_grid_spanning_needs_two_times():
     with pytest.raises(ValueError, match="count must be at least 2, got 1"):
         TimeGrid.spanning(0.1, 1.0, 1)
+
+
+def test_overflowing_time_grid_is_rejected():
+    with pytest.raises(ValueError, match=r"overflows: t0=1.0, ratio=1e\+300, count=3"):
+        TimeGrid(1.0, 1e300, 3)
+
+
+@pytest.mark.parametrize("name", "ncvu")
+def test_trajectory_rejects_a_wrong_shape(name):
+    grid = Grid(2, 16, 4.0)
+    good = Trajectory.zero(grid, [0.5, 1.0])
+    arrays = {key: getattr(good, key) for key in "ncvu"}
+    arrays[name] = np.zeros((2, 9, 9), dtype=complex)
+    expected = r"\(2, 2, 16, 9\)" if name == "u" else r"\(2, 16, 9\)"
+    with pytest.raises(ValueError, match=rf"trajectory {name} has shape \(2, 9, 9\), "
+                                         rf"not {expected}"):
+        Trajectory(grid, good.times, *arrays.values())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
