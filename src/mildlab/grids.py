@@ -49,7 +49,8 @@ class Grid:
                                                          for mode in modes)), axis=0)
 
         self.x = _per_axis([-self.box_half_width + self.spacing * np.arange(m)] * dim)
-        # ``norms``' default sampling, ball spectra, radius factors and smoothing constants
+        # ``norms``' default sampling, ball spectra, radius factors, wavenumber
+        # moduli and smoothing constants
         self._cache = {}
 
     def _spectral_axes(self, full, half):
@@ -80,7 +81,15 @@ class Grid:
         return sfft.rfftn(values, axes=self._fft_axes)
 
     def backward(self, coeffs):
-        return sfft.irfftn(coeffs, s=self.shape, axes=self._fft_axes)
+        """Real field of a half-spectrum, or of each half-spectrum of a
+        stack; a stack is transformed one field at a time into one array, as
+        one ``irfftn`` over it makes a stack-sized complex temporary."""
+        if coeffs.ndim == self.dim:
+            return sfft.irfftn(coeffs, s=self.shape, axes=self._fft_axes)
+        out = np.empty(coeffs.shape[:-self.dim] + self.shape)
+        for index in np.ndindex(*coeffs.shape[:-self.dim]):
+            out[index] = sfft.irfftn(coeffs[index], s=self.shape, axes=self._fft_axes)
+        return out
 
     def compatible(self, other):
         return (self.dim == other.dim and self.m == other.m

@@ -13,19 +13,27 @@ branch-and-bound over the (row, radius) pairs of a weighted family
 w_i f_i, with a single field's norm as the one-row case.  A ball's local
 mass is at most the total mass sum |f_i|^p1 dV, and at most the peak
 max |f_i|^p1 dV times the ball's lattice-point count, so the pair is
-worth at most w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1), which
-pass 1 (``_powered``) computes once per row and stores on it.  Rows are
-visited in order of decreasing largest bound, and each row's radii in
-order of decreasing bound; a row is transformed forward only when one of
-its radii is convolved, and a row's search ends at the first bound that,
-widened by 1e-9 for FFT round-off, falls below the best value over all
-rows so far.  Since fl(w x) is monotone in x, no skipped pair could have
-raised the max, and the value is bit-identical to norming every row in
-full.  Each row's search is one ``morrey_norm`` call.  The default ball
-sampling, ball spectra, radius factors and smoothing constants are cached
-in one dict on their ``Grid``.
+worth at most w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).
+Pass 1 (``_bounded``) estimates total and peak from the row's
+coefficients alone: max |f_i| <= W_i (Wiener) and sum f_i^2 dV <= P_i
+(Parseval) give upper estimates of every bound of the row, and the row
+is taken to physical space for its exact total and peak (``_powered``)
+only when its estimate can still raise the max.  Rows are visited
+best-first by their largest bound, exact rows in order of decreasing
+exact bound, and each row's radii in order of decreasing bound; a row is
+transformed forward only when one of its radii is convolved, and the
+search ends at the first bound that, widened by 1e-9 for FFT round-off,
+falls below the best value over all rows so far.  Since fl(w x) is
+monotone in x, no skipped pair could have raised the max, and the value
+is bit-identical to norming every row in full with its exact bounds:
+the estimates change which rows are transformed, not the value, which
+is still the sampled lower estimate of the continuum norm.  Each row's
+search is one ``morrey_norm`` call.  The default ball sampling, ball
+spectra, radius factors, wavenumber moduli and smoothing constants are
+cached in one dict on their ``Grid``.
 """
 
+import heapq
 import math
 from collections import namedtuple
 
@@ -128,13 +136,30 @@ def _radius_factors(grid, exponent, radii):
 #: field's magnitude) transformed once and normed more than once
 PhysicalValues = namedtuple("PhysicalValues", "grid values")
 
-#: a row of a Morrey sup after pass 1: |f|^p1 in physical space, the total
-#: of |f|^p1 dV, and per sampled radius the factor R^(N/p - N/p1) and the
-#: bound R^(N/p - N/p1) min(total, peak count(R))^(1/p1), peak = max |f|^p1 dV
-PoweredValues = namedtuple("PoweredValues", "grid powered total scale bounds")
+#: a field made only when it is read in physical space, with its grid: a
+#: Morrey sup bounds it by ``moduli()``, the moduli |F_j| of its half-spectrum
+#: as a (components, *kshape) array, and calls ``make()`` only to transform it
+DeferredField = namedtuple("DeferredField", "grid moduli make")
+
+
+class PoweredValues(namedtuple("PoweredValues", "field powered total scale bounds")):
+    """A row of a Morrey sup: its field, |f|^p1 in physical space, the total
+    of |f|^p1 dV, and per sampled radius the factor R^(N/p - N/p1) and the
+    bound R^(N/p - N/p1) min(total, peak count(R))^(1/p1), peak = max |f|^p1 dV.
+    A row bounded from its spectrum alone has ``powered`` None and upper
+    estimates for total and bounds.  For the sup index the only bound is
+    max |f| (or its estimate) and ``scale`` is None."""
+
+    __slots__ = ()
+
+    @property
+    def grid(self):
+        return self.field.grid
 
 
 def _as_values(field):
+    if isinstance(field, DeferredField):
+        field = field.make()
     if isinstance(field, VectorField):
         return field.magnitude()
     if isinstance(field, SpectralField):
@@ -142,13 +167,83 @@ def _as_values(field):
     return field.values
 
 
-def _powered(field, idx, sampling):
-    grid = field.grid
-    powered = np.abs(_as_values(field)) ** idx.p1
-    total, peak = powered.sum() * grid.cell_volume, powered.max() * grid.cell_volume
-    scale, counts = _radius_factors(grid, grid.dim * (1.0 / idx.p - 1.0 / idx.p1), sampling.radii)
-    return PoweredValues(grid, powered, total, scale,
+def _row(field, powered, total, peak, idx, sampling):
+    scale, counts = _radius_factors(field.grid, field.grid.dim * (1.0 / idx.p - 1.0 / idx.p1),
+                                    sampling.radii)
+    return PoweredValues(field, powered, total, scale,
                          scale * np.minimum(total, peak * counts) ** (1.0 / idx.p1))
+
+
+def _powered(field, idx, sampling):
+    """A row's exact pass 1, from its values in physical space."""
+    values = np.abs(_as_values(field))
+    if idx.is_sup:
+        peak = values.max()
+        return PoweredValues(field, values, peak, None, np.array([peak]))
+    cell_volume = field.grid.cell_volume
+    powered = values ** idx.p1
+    return _row(field, powered, powered.sum() * cell_volume, powered.max() * cell_volume,
+                idx, sampling)
+
+
+def _moduli(field):
+    if isinstance(field, DeferredField):
+        return field.moduli()
+    return np.abs(field.coeffs).reshape((-1,) + field.grid.kshape)
+
+
+def _mu_sum(values, grid):
+    """sum of mu values over each component's half-spectrum, mu = 1 on the
+    last axis's first and last planes (their own conjugates) and 2 elsewhere."""
+    spatial = tuple(range(1, grid.dim + 1))
+    return (2.0 * values.sum(axis=spatial) - values[..., 0].sum(axis=spatial[:-1])
+            - values[..., -1].sum(axis=spatial[:-1]))
+
+
+def _wiener_parseval(grid, moduli):
+    """W >= max |f| (Wiener: sum of mu |F| / M) and P >= sum f^2 dV
+    (Parseval: dV sum of mu |F|^2 / M) of the field whose components'
+    coefficient moduli are ``moduli``, M = grid.size; for a vector field
+    W = sqrt(sum W_j^2) and P = sum P_j.  They hold for any half-spectrum,
+    as ``irfftn`` keeps only the real part of the self-conjugate planes."""
+    sums = _mu_sum(moduli, grid)
+    wiener = np.float64(math.hypot(*sums)) / grid.size
+    return wiener, _mu_sum(moduli * moduli, grid).sum() * grid.cell_volume / grid.size
+
+
+def _power_bounds(grid, p1, wiener, parseval):
+    """Upper estimates of the total and the peak of |f|^p1 dV from W >= max |f|
+    and P >= sum f^2 dV: the total is at most W^p1 V and, for p1 >= 2,
+    W^(p1-2) P, or, for p1 < 2, P^(p1/2) V^(1-p1/2) (Hoelder); the peak is at
+    most W^p1 dV.  V = M dV is the box volume."""
+    volume = grid.size * grid.cell_volume
+    by_parseval = (wiener ** (p1 - 2) * parseval if p1 >= 2
+                   else parseval ** (p1 / 2) * volume ** (1 - p1 / 2))
+    return min(wiener ** p1 * volume, by_parseval), wiener ** p1 * grid.cell_volume
+
+
+def _bounded(field, idx, sampling):
+    """A row's pass 1 from its coefficients alone: a ``PoweredValues`` with
+    ``powered`` None whose bounds (the sup index's W, or each radius's
+    formula on ``_power_bounds``) are widened by 1e-9, so that they are at
+    least the exact row's despite round-off.  Physical values, and bounds
+    that over- or underflow could break (any of W, P, total and peak outside
+    [1e-250, 1e250] on a non-zero field, NaN and inf included), are bounded
+    by inf, so their rows are transformed first."""
+    if not isinstance(field, PhysicalValues):
+        with np.errstate(over="ignore", invalid="ignore"):
+            moduli = _moduli(field)
+            wiener, parseval = _wiener_parseval(field.grid, moduli)
+            if idx.is_sup:
+                total = peak = wiener
+                row = PoweredValues(field, None, wiener, None, np.array([wiener]))
+            else:
+                total, peak = _power_bounds(field.grid, idx.p1, wiener, parseval)
+                row = _row(field, None, total, peak, idx, sampling)
+        checked = np.array([wiener, parseval, total, peak])
+        if np.all((1e-250 < checked) & (checked < 1e250)) or not moduli.any():
+            return row._replace(bounds=row.bounds * (1 + 1e-9))
+    return PoweredValues(field, None, math.inf, None, np.array([math.inf]))
 
 
 def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
@@ -163,9 +258,11 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
     ends the search.  The field is transformed forward only if some radius
     is convolved.  The value is bit-identical to max(floor, w max_R ...)
     over every sampled radius.  A field whose total mass is not finite (a
-    NaN or inf value) has norm NaN.  ``field`` may also be the
-    ``PoweredValues`` pass 1 of ``morrey_sup`` made for ``idx`` and
-    ``sampling``.
+    NaN or inf value) has norm NaN.  ``field`` may also be a
+    ``PoweredValues`` row of ``morrey_sup`` made for ``idx`` and
+    ``sampling``; one bounded from its spectrum alone (upper estimates of
+    the exact bounds) returns ``floor`` at once when no bound reaches it,
+    and is taken to physical space otherwise.
     """
     if idx.is_sup:
         return _sup((floor, weight * float(np.abs(_as_values(field)).max())))
@@ -173,6 +270,10 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
     if sampling is None:
         sampling = BallSampling.default_for(grid)
     row = field if isinstance(field, PoweredValues) else _powered(field, idx, sampling)
+    if row.powered is None:
+        if (weight * row.bounds).max() * (1 + 1e-9) < floor:
+            return float(floor)
+        row = _powered(row.field, idx, sampling)
     if not math.isfinite(row.total):
         return math.nan
     if row.total == 0.0:
@@ -194,34 +295,56 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
 
 def morrey_sup(grid, rows, idx, sampling=None):
     """max_i w_i ||f_i||_{M^p_p1} over rows (w_i, f_i) of non-negative
-    weights and fields on ``grid``, read once, so a generator makes each
-    field only when pass 1 reaches it.
+    weights and fields on ``grid`` (spectral fields, ``DeferredField``s or
+    ``PhysicalValues``), read once, so a generator makes each field only
+    when pass 1 reaches it.
 
-    Pass 1 takes each row to physical space once for its total and peak of
-    |f_i|^p1 dV, which bound every (row, radius) pair by
-    w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  Pass 2 visits the
-    rows in order of decreasing largest bound and norms each with
-    ``morrey_norm``, whose floor is the best value so far: a row none of
-    whose bounds reaches it returns without a forward transform, and in the
-    others only the radii that can still raise the max are convolved.  The
-    value is bit-identical to max_i w_i morrey_norm(f_i) with every radius
-    convolved; it is NaN if any row has a NaN or inf value, and 0.0 for no
-    rows.
+    Pass 1 bounds every row from its coefficients (``_bounded``): by
+    Wiener, max |f_i| <= W_i, and by Parseval, sum f_i^2 dV <= P_i, which
+    bound the total and the peak of |f_i|^p1 dV and so every (row, radius)
+    pair by w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1), or, for the
+    sup index, the row by w_i W_i.  These are upper estimates of each row's
+    exact bounds; ``PhysicalValues`` rows are bounded by inf.  The rows then
+    go best-first through a heap keyed by their largest bound, until the
+    top bound, widened by 1e-9, falls below the best value so far.  A
+    popped row still bounded from its spectrum is taken to physical space
+    (``_powered``) and pushed back with its exact bounds; a popped exact row
+    is normed by ``morrey_norm`` with the best value as floor (for the sup
+    index, its max |f_i| is the value).  So exact rows are normed in order
+    of decreasing exact bound, ties in row order, with the convolutions of
+    norming every row that way, and a row is transformed only if its
+    estimate can still raise the max.  Each Morrey row is one
+    ``morrey_norm`` call: rows left in the heap return their floor at once.
+    The value is bit-identical to max_i w_i morrey_norm(f_i) with every
+    radius convolved; it is NaN if any row has a NaN value (for a Morrey
+    index, also an inf one), and 0.0 for no rows.
     """
-    if idx.is_sup:
-        return _sup(weight * float(np.abs(_as_values(field)).max()) for weight, field in rows)
-    if sampling is None:
+    if sampling is None and not idx.is_sup:
         sampling = BallSampling.default_for(grid)
-    rows_bounded = []
-    for weight, field in rows:
-        row = _powered(field, idx, sampling)
-        if not math.isfinite(row.total):
-            return math.nan
-        rows_bounded.append((weight * row.bounds.max(), weight, row))
+    heap = []
+    for i, (weight, field) in enumerate(rows):
+        row = _bounded(field, idx, sampling)
+        bound = weight * row.bounds.max()
+        # a zero weight times an inf bound counts as inf
+        heap.append((-math.inf if math.isnan(bound) else -bound, i, weight, row))
+    heapq.heapify(heap)
     best = 0.0
-    for _, weight, row in sorted(rows_bounded, key=lambda item: -item[0]):
-        best = morrey_norm(row, idx, sampling, weight, best)
-    return best
+    while heap and -heap[0][0] * (1 + 1e-9) >= best:
+        key, i, weight, row = heapq.heappop(heap)
+        if row.powered is None:
+            row = _powered(row.field, idx, sampling)
+            key = -weight * row.bounds.max()
+            if math.isnan(key) or not (idx.is_sup or math.isfinite(row.total)):
+                return math.nan
+            heapq.heappush(heap, (key, i, weight, row))
+        elif idx.is_sup:
+            best = max(best, -key)
+        else:
+            best = morrey_norm(row, idx, sampling, weight, best)
+    if not idx.is_sup:
+        for _, _, weight, row in heap:
+            best = morrey_norm(row, idx, sampling, weight, best)
+    return float(best)
 
 
 def _sup(terms):
@@ -231,13 +354,23 @@ def _sup(terms):
 
 
 def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
-    """Heat characterization sup_t t^(-s/2) ||e^{t Lap} u||_{M^p_p1}, s < 0."""
+    """Heat characterization sup_t t^(-s/2) ||e^{t Lap} u||_{M^p_p1}, s < 0.
+    Each e^{t Lap} u is a ``DeferredField``, made only if its row is
+    transformed and bounded until then by the moduli |F| e^{-t |xi|^2}."""
     if s >= 0:
         raise ValueError(f"the heat characterization needs s < 0, got s = {s}")
+    grid = field.grid
     if time_grid is None:
-        time_grid = TimeGrid.default_for(field.grid)
-    return morrey_sup(field.grid, ((t ** (-s / 2.0), heat_apply(field, t))
-                                   for t in time_grid.times), idx, sampling)
+        time_grid = TimeGrid.default_for(grid)
+    moduli = _moduli(field)
+
+    # a helper, not a lambda in the generator, so each row binds its own t
+    def heat_row(t):
+        return DeferredField(grid, lambda: moduli * np.exp(-t * grid.k2),
+                             lambda: heat_apply(field, t))
+
+    return morrey_sup(grid, ((t ** (-s / 2.0), heat_row(t)) for t in time_grid.times),
+                      idx, sampling)
 
 
 class XNormsRecord:
@@ -260,14 +393,21 @@ def _x_space_terms(traj, exps):
     """The five terms of the X-norm of a ``Trajectory``, keyed as in
     ``ExponentSet.x_terms``: each a Morrey index and a generator of its
     rows (t^w, field) over the stored times, which makes each field when
-    it is read."""
+    it is read; a gradient is a ``DeferredField``, made only if its row is
+    transformed and bounded until then by |xi_j| times its field's moduli."""
     from .spectral import gradient
+
+    grid = traj.grid
+    abs_k = _cached(grid, "abs_k", lambda: np.abs(np.stack(np.broadcast_arrays(*grid.k))))
 
     # a helper, not a comprehension, so each generator binds its own w
     def term(p, p1, w, component, derivative):
         def make(k):
             field = traj.field(component, k)
-            return gradient(field) if derivative else field
+            if not derivative:
+                return field
+            return DeferredField(grid, lambda: abs_k * np.abs(field.coeffs),
+                                 lambda: gradient(field))
         return MorreyIndex(p, p1), ((float(t) ** w, make(k)) for k, t in enumerate(traj.times))
 
     return {name: term(*row, *_TERM_FIELDS[name]) for name, row in exps.x_terms().items()}

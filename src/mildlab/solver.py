@@ -260,8 +260,13 @@ def picard_map(traj, data, config):
             if gathered[0] != key:
                 gathered = (key, weights[key[0]][:, columns[key]])
             rows = gathered[1]
-            flat[target_of[tags]][kk][..., modes[stack.shape[-1]]] += np.einsum(
-                "jm,j...m->...m", rows, stack[:len(rows)])
+            # the weights are real: the real and imaginary parts contract apart,
+            # in real arithmetic, into one complex term
+            part = stack[:len(rows)]
+            term = np.empty(part.shape[1:], dtype=complex)
+            np.einsum("jm,j...m->...m", rows, part.real, out=term.real)
+            np.einsum("jm,j...m->...m", rows, part.imag, out=term.imag)
+            flat[target_of[tags]][kk][..., modes[stack.shape[-1]]] += term
     # the attractant is defined modulo constants: pin its zero mode
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mildlab.norms as norms
 from mildlab.grids import Grid, TimeGrid
-from mildlab.spectral import SpectralField, gradient, heat_apply, rescale_field
+from mildlab.spectral import SpectralField, VectorField, gradient, heat_apply, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
 from mildlab.norms import (MorreyIndex, BallSampling, morrey_norm,
                            morrey_sup, besov_morrey_norm_heat,
@@ -274,6 +274,80 @@ def test_morrey_sup_is_won_by_a_later_row(grid16, monkeypatch):
     assert 0 < len(forwards) < len(rows)
 
 
+@pytest.mark.parametrize("case", sorted(_sup_cases()))
+def test_weighted_rows_sup_like_their_physical_values(case):
+    # rows bounded from their spectra give the bits of rows bounded in physical space
+    grid, idx, sampling = _sup_cases()[case]
+    rows = _weighted_rows(grid) + [(0.7, gradient(random_band_limited(grid, seed=60)))]
+    physical = [(weight, PhysicalValues(grid, norms._as_values(f))) for weight, f in rows]
+    for index in (idx, MorreyIndex(math.inf, math.inf)):
+        assert morrey_sup(grid, rows, index, sampling) == morrey_sup(grid, physical, index,
+                                                                     sampling) > 0
+
+
+def _half_spectrum(grid, components, seed, modes, exponent):
+    """Random coefficients on ``modes`` modes of a half-spectrum, of scale
+    10^exponent, Hermitian-inconsistent on the self-conjugate planes."""
+    rng = np.random.default_rng(seed)
+    shape = (components,) + grid.kshape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    keep = np.zeros(coeffs.size, dtype=bool)
+    keep[rng.choice(coeffs.size, size=min(modes, coeffs.size), replace=False)] = True
+    return np.where(keep.reshape(shape), coeffs, 0.0) * 10.0 ** exponent
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([2, 3]), vector=st.booleans(),
+       p1=st.sampled_from([1.5, 2.0, 8 / 3, 3.0]), ratio=st.floats(1.0, 3.0),
+       seed=st.integers(0, 2 ** 16), modes=st.integers(1, 400), exponent=st.floats(-6.0, 6.0),
+       kind=st.sampled_from(["random", "zero", "nan", "inf"]))
+def test_spectral_bounds_dominate_exact_rows(dim, vector, p1, ratio, seed, modes, exponent, kind):
+    grid = Grid(dim, 8, 2.0)
+    cls = VectorField if vector else SpectralField
+    coeffs = _half_spectrum(grid, dim if vector else 1, seed, modes, exponent)
+    coeffs = coeffs.reshape(cls._leading(grid) + grid.kshape)
+    if kind == "zero":
+        coeffs[...] = 0.0
+    elif kind != "random":
+        coeffs.flat[seed % coeffs.size] = math.nan if kind == "nan" else math.inf
+    field = cls(grid, coeffs)
+    idx, sup = MorreyIndex(p1 * ratio, p1), MorreyIndex(math.inf, math.inf)
+    sampling = BallSampling.default_for(grid)
+    bounded, bounded_sup = norms._bounded(field, idx, sampling), norms._bounded(field, sup, None)
+    assert bounded.powered is None and bounded_sup.powered is None
+    if kind in ("nan", "inf"):
+        # no finite bound: the row is transformed, and its NaN makes the sup NaN
+        assert np.isinf(bounded.bounds).all() and np.isinf(bounded_sup.bounds).all()
+        assert math.isnan(morrey_sup(grid, [(1.0, field)], idx))
+        return
+    values = np.abs(norms._as_values(field))
+    wiener, parseval = norms._wiener_parseval(grid, norms._moduli(field))
+    total, peak = norms._power_bounds(grid, p1, wiener, parseval)
+    exact = norms._powered(field, idx, sampling)
+    widen = 1 + 1e-9
+    assert values.max() <= wiener * widen
+    assert (values ** 2).sum() * grid.cell_volume <= parseval * widen
+    assert exact.total <= total * widen
+    assert exact.powered.max() * grid.cell_volume <= peak * widen
+    assert np.all(exact.bounds <= bounded.bounds)
+    assert norms._powered(field, sup, None).bounds[0] <= bounded_sup.bounds[0]
+    assert morrey_sup(grid, [(1.0, field)], idx, sampling) == morrey_norm(field, idx, sampling)
+    if kind == "zero":
+        assert bounded.bounds.max() == bounded_sup.bounds[0] == 0.0
+
+
+def test_spectral_bounds_are_not_trusted_where_they_underflow():
+    # at scale 1e-200, |F|^2 underflows to 0, so Parseval's P reads 0 while
+    # sum |f|^1.5 dV is about 1e-300: the row is bounded by inf and transformed
+    grid = Grid(2, 8, 2.0)
+    field = SpectralField(grid, 1e-200 * _half_spectrum(grid, 1, 7, 400, 0.0)[0])
+    idx = MorreyIndex(3, 1.5)
+    sampling = BallSampling.default_for(grid)
+    assert norms._wiener_parseval(grid, norms._moduli(field))[1] == 0.0
+    assert np.isinf(norms._bounded(field, idx, sampling).bounds).all()
+    assert morrey_sup(grid, [(1.0, field)], idx) == morrey_norm(field, idx) > 0
+
+
 def test_morrey_sup_of_no_rows_or_zero_rows(grid16):
     idx = MorreyIndex(3, 2)
     assert morrey_sup(grid16, [], idx) == 0.0
@@ -472,6 +546,32 @@ def test_x_space_norms_transform_few_rows(small_solve_2d, monkeypatch):
     # 19 forward transforms for the 36 stored times when this was written
     assert len(traj) >= 16
     assert len(forwards) <= len(traj)
+
+
+@pytest.mark.parametrize("solve", ["small_solve_2d", "small_solve_3d"])
+def test_x_space_norms_bound_rows_from_their_spectra(solve, request, monkeypatch):
+    # taking every row component to physical space, as pass 1 once did, costs
+    # one backward transform each; now at most half of them are made
+    case = request.getfixturevalue(solve)
+    traj, config = case["traj"], case["config"]
+    x_space_norms(traj, config.exps, config.sampling)  # fills the ball caches
+    counts = {"forward": 0, "backward": 0, "convolutions": 0}
+    real_forward, real_backward, real_ball = Grid.forward, Grid.backward, norms._ball_spectrum
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(Grid, "forward", counted("forward", real_forward))
+    monkeypatch.setattr(Grid, "backward", counted("backward", real_backward))
+    monkeypatch.setattr(norms, "_ball_spectrum", counted("convolutions", real_ball))
+    x_space_norms(traj, config.exps, config.sampling)
+    components = len(traj) * (1 + 1 + 3 * traj.grid.dim)   # n, c_sup, grad c, grad v, u
+    assert counts["backward"] - counts["convolutions"] <= components // 2
+    # the rows convolved, and so transformed forward, are those of norming every row
+    assert counts["forward"] == {2: 19, 3: 6}[traj.grid.dim]
 
 
 def test_x_norms_nan_state_gives_nan_total(grid16):

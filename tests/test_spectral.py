@@ -26,6 +26,16 @@ def rel(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vector_to_physical_is_per_component_backward(dim):
+    # a stack is transformed field by field, with no stack-sized temporary
+    g = Grid(dim, 16, 2.0)
+    v = gradient(random_band_limited(g, seed=3))
+    values = v.to_physical()
+    assert values.shape == (dim,) + g.shape
+    assert np.array_equal(values, np.stack([g.backward(c) for c in v.coeffs]))
+
+
 def test_round_trip_identity(grid):
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(grid.shape)
