@@ -8,31 +8,34 @@ for the discrete sampling it states.
 
 Every sup of Morrey norms here (the X-norm's sup over stored times, the
 heat form of the Besov-Morrey norm, and each smoothing constant's sup
-over random fields and times) is one ``morrey_sup``, a
-branch-and-bound over the (row, radius) pairs of a weighted family
-w_i f_i, with a single field's norm as the one-row case.  A ball's local
-mass is at most the total mass sum |f_i|^p1 dV, and at most the peak
-max |f_i|^p1 dV times the ball's lattice-point count, so the pair is
-worth at most w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).
-Pass 1 (``_bounded``) estimates total and peak from the row's
-coefficients alone: max |f_i| <= W_i (Wiener) and sum f_i^2 dV <= P_i
-(Parseval) give upper estimates of every bound of the row, and the row
-is taken to physical space for its exact total and peak (``_powered``)
-only when its estimate can still raise the max.  Rows are visited
-best-first by their largest bound, exact rows in order of decreasing
-exact bound, and each row's radii in order of decreasing bound; a row is
-transformed forward only when one of its radii is convolved, and the
-search ends at the first bound that, widened by 1e-9 for FFT round-off,
-falls below the best value over all rows so far.  Since fl(w x) is
-monotone in x, no skipped pair could have raised the max, and the value
-is bit-identical to norming every row in full with its exact bounds:
-the estimates change which rows are transformed, not the value, which
-is still the sampled lower estimate of the continuum norm.  Each row's
-search is one ``morrey_norm`` call.  The default ball sampling, ball
-spectra, radius factors, wavenumber moduli and smoothing constants are
-cached in one dict on their ``Grid``.
+over random fields and times) is one ``morrey_sup``, a branch-and-bound
+over the (row, radius) pairs of a weighted family w_i f_i, with a single
+field's norm as the one-row case.  A ball's local mass is at most the
+total mass sum |f_i|^p1 dV, and at most the peak max |f_i|^p1 dV times
+the ball's lattice-point count, so the pair is worth at most
+w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  A row is a
+``SpectralField``, a ``VectorField`` (normed by its magnitude) or a
+``DeferredField`` (``heat_row``), a (grad) e^{t Lap} f made only when it
+is read in physical space.  Pass 1 (``_bounded``) estimates total and
+peak from the row's coefficients alone: max |f_i| <= W_i (Wiener) and
+sum f_i^2 dV <= P_i (Parseval) give upper estimates of every bound of
+the row, and the row is taken to physical space for its exact total and
+peak (``_powered``) only when its estimate can still raise the max.
+Rows are visited best-first by their largest bound, exact rows in order
+of decreasing exact bound, and each row's radii in order of decreasing
+bound; a row is transformed forward only when one of its radii is
+convolved, and the search ends at the first bound that, widened by 1e-9
+for FFT round-off, falls below the best value over all rows so far.
+Since fl(w x) is monotone in x, no skipped pair could have raised the
+max, and the value is bit-identical to norming every row in full with
+its exact bounds: the estimates change which rows are transformed, not
+the value, which is still the sampled lower estimate of the continuum
+norm.  Each row's search is one ``morrey_norm`` call.  The default ball
+sampling, ball spectra, radius factors, wavenumber moduli and smoothing
+constants are cached in one dict on their ``Grid``.
 """
 
+import functools
 import heapq
 import math
 from collections import namedtuple
@@ -132,14 +135,31 @@ def _radius_factors(grid, exponent, radii):
         np.array([np.count_nonzero(_ball_indicator(grid, radius)) for radius in radii])))
 
 
-#: values already in physical space, with their grid: a field (or a vector
-#: field's magnitude) transformed once and normed more than once
-PhysicalValues = namedtuple("PhysicalValues", "grid values")
+#: a field made only when it is read in physical space, built by ``heat_row``:
+#: ``moduli()`` gives the moduli |F_j| of its half-spectrum as a (components,
+#: *kshape) array, ``values()`` its physical values (a vector's magnitude)
+DeferredField = namedtuple("DeferredField", "grid moduli values")
 
-#: a field made only when it is read in physical space, with its grid: a
-#: Morrey sup bounds it by ``moduli()``, the moduli |F_j| of its half-spectrum
-#: as a (components, *kshape) array, and calls ``make()`` only to transform it
-DeferredField = namedtuple("DeferredField", "grid moduli make")
+
+def heat_row(field, t=0.0, derivative=False, moduli=None, memo=False):
+    """(grad) e^{t Lap} field as a ``DeferredField`` of moduli
+    |xi_j| e^{-t |xi|^2} |F|, given |F| as ``moduli`` or taking it from the
+    field; ``memo`` keeps the values once made, for a row read more than once."""
+    from .spectral import gradient
+
+    grid = field.grid
+    abs_k = _cached(grid, "abs_k", lambda: np.abs(np.stack(np.broadcast_arrays(*grid.k))))
+
+    def bound():
+        out = _moduli(field) if moduli is None else moduli
+        out = out * np.exp(-t * grid.k2) if t else out
+        return abs_k * out if derivative else out
+
+    def values():
+        evolved = heat_apply(field, t) if t else field
+        return _as_values(gradient(evolved) if derivative else evolved)
+
+    return DeferredField(grid, bound, functools.cache(values) if memo else values)
 
 
 class PoweredValues(namedtuple("PoweredValues", "field powered total scale bounds")):
@@ -159,12 +179,10 @@ class PoweredValues(namedtuple("PoweredValues", "field powered total scale bound
 
 def _as_values(field):
     if isinstance(field, DeferredField):
-        field = field.make()
+        return field.values()
     if isinstance(field, VectorField):
         return field.magnitude()
-    if isinstance(field, SpectralField):
-        return field.to_physical()
-    return field.values
+    return field.to_physical()
 
 
 def _row(field, powered, total, peak, idx, sampling):
@@ -226,23 +244,22 @@ def _bounded(field, idx, sampling):
     """A row's pass 1 from its coefficients alone: a ``PoweredValues`` with
     ``powered`` None whose bounds (the sup index's W, or each radius's
     formula on ``_power_bounds``) are widened by 1e-9, so that they are at
-    least the exact row's despite round-off.  Physical values, and bounds
-    that over- or underflow could break (any of W, P, total and peak outside
-    [1e-250, 1e250] on a non-zero field, NaN and inf included), are bounded
-    by inf, so their rows are transformed first."""
-    if not isinstance(field, PhysicalValues):
-        with np.errstate(over="ignore", invalid="ignore"):
-            moduli = _moduli(field)
-            wiener, parseval = _wiener_parseval(field.grid, moduli)
-            if idx.is_sup:
-                total = peak = wiener
-                row = PoweredValues(field, None, wiener, None, np.array([wiener]))
-            else:
-                total, peak = _power_bounds(field.grid, idx.p1, wiener, parseval)
-                row = _row(field, None, total, peak, idx, sampling)
-        checked = np.array([wiener, parseval, total, peak])
-        if np.all((1e-250 < checked) & (checked < 1e250)) or not moduli.any():
-            return row._replace(bounds=row.bounds * (1 + 1e-9))
+    least the exact row's despite round-off.  Bounds that over- or underflow
+    could break (any of W, P, total and peak outside [1e-250, 1e250] on a
+    non-zero field, NaN and inf included) are replaced by inf, so their rows
+    are transformed first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = _moduli(field)
+        wiener, parseval = _wiener_parseval(field.grid, moduli)
+        if idx.is_sup:
+            total = peak = wiener
+            row = PoweredValues(field, None, wiener, None, np.array([wiener]))
+        else:
+            total, peak = _power_bounds(field.grid, idx.p1, wiener, parseval)
+            row = _row(field, None, total, peak, idx, sampling)
+    checked = np.array([wiener, parseval, total, peak])
+    if np.all((1e-250 < checked) & (checked < 1e250)) or not moduli.any():
+        return row._replace(bounds=row.bounds * (1 + 1e-9))
     return PoweredValues(field, None, math.inf, None, np.array([math.inf]))
 
 
@@ -258,14 +275,15 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
     ends the search.  The field is transformed forward only if some radius
     is convolved.  The value is bit-identical to max(floor, w max_R ...)
     over every sampled radius.  A field whose total mass is not finite (a
-    NaN or inf value) has norm NaN.  ``field`` may also be a
-    ``PoweredValues`` row of ``morrey_sup`` made for ``idx`` and
-    ``sampling``; one bounded from its spectrum alone (upper estimates of
-    the exact bounds) returns ``floor`` at once when no bound reaches it,
-    and is taken to physical space otherwise.
+    NaN or inf value) has norm NaN.  ``field`` is a row of a kind
+    ``morrey_sup`` takes, or one of its ``PoweredValues`` rows made for
+    ``idx`` and ``sampling``; one bounded from its spectrum alone (upper
+    estimates of the exact bounds) returns ``floor`` at once when no bound
+    reaches it, and is taken to physical space otherwise.
     """
     if idx.is_sup:
-        return _sup((floor, weight * float(np.abs(_as_values(field)).max())))
+        # np.max, as the builtin max drops a NaN that is not its first argument
+        return float(np.max([floor, weight * float(np.abs(_as_values(field)).max())]))
     grid = field.grid
     if sampling is None:
         sampling = BallSampling.default_for(grid)
@@ -295,26 +313,27 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
 
 def morrey_sup(grid, rows, idx, sampling=None):
     """max_i w_i ||f_i||_{M^p_p1} over rows (w_i, f_i) of non-negative
-    weights and fields on ``grid`` (spectral fields, ``DeferredField``s or
-    ``PhysicalValues``), read once, so a generator makes each field only
-    when pass 1 reaches it.
+    weights and fields on ``grid`` (``SpectralField``s, ``VectorField``s or
+    ``DeferredField``s), read once, so a generator makes each field only
+    when pass 1 reaches it; a row on another grid raises ``ValueError`` and
+    a row of another kind ``TypeError``.
 
     Pass 1 bounds every row from its coefficients (``_bounded``): by
     Wiener, max |f_i| <= W_i, and by Parseval, sum f_i^2 dV <= P_i, which
     bound the total and the peak of |f_i|^p1 dV and so every (row, radius)
     pair by w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1), or, for the
     sup index, the row by w_i W_i.  These are upper estimates of each row's
-    exact bounds; ``PhysicalValues`` rows are bounded by inf.  The rows then
-    go best-first through a heap keyed by their largest bound, until the
-    top bound, widened by 1e-9, falls below the best value so far.  A
-    popped row still bounded from its spectrum is taken to physical space
-    (``_powered``) and pushed back with its exact bounds; a popped exact row
-    is normed by ``morrey_norm`` with the best value as floor (for the sup
-    index, its max |f_i| is the value).  So exact rows are normed in order
-    of decreasing exact bound, ties in row order, with the convolutions of
-    norming every row that way, and a row is transformed only if its
-    estimate can still raise the max.  Each Morrey row is one
-    ``morrey_norm`` call: rows left in the heap return their floor at once.
+    exact bounds.  The rows then go best-first through a heap keyed by their
+    largest bound, until the top bound, widened by 1e-9, falls below the
+    best value so far.  A popped row still bounded from its spectrum is
+    taken to physical space (``_powered``) and pushed back with its exact
+    bounds; a popped exact row is normed by ``morrey_norm`` with the best
+    value as floor (for the sup index, its max |f_i| is the value).  So
+    exact rows are normed in order of decreasing exact bound, ties in row
+    order, with the convolutions of norming every row that way, and a row
+    is transformed only if its estimate can still raise the max.  Each
+    Morrey row is one ``morrey_norm`` call: rows left in the heap return
+    their floor at once.
     The value is bit-identical to max_i w_i morrey_norm(f_i) with every
     radius convolved; it is NaN if any row has a NaN value (for a Morrey
     index, also an inf one), and 0.0 for no rows.
@@ -323,6 +342,11 @@ def morrey_sup(grid, rows, idx, sampling=None):
         sampling = BallSampling.default_for(grid)
     heap = []
     for i, (weight, field) in enumerate(rows):
+        if not isinstance(field, (SpectralField, DeferredField)):
+            raise TypeError("a Morrey row is a SpectralField, VectorField or DeferredField, "
+                            f"not a {type(field).__name__}")
+        if not grid.compatible(field.grid):
+            raise ValueError(f"a Morrey row lives on {field.grid!r}, not on the grid {grid!r}")
         row = _bounded(field, idx, sampling)
         bound = weight * row.bounds.max()
         # a zero weight times an inf bound counts as inf
@@ -347,30 +371,17 @@ def morrey_sup(grid, rows, idx, sampling=None):
     return float(best)
 
 
-def _sup(terms):
-    """max of non-negative terms, 0 for none and NaN if any term is NaN
-    (the builtin max would drop a NaN that is not its first argument)."""
-    return float(np.max(list(terms), initial=0.0))
-
-
 def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
-    """Heat characterization sup_t t^(-s/2) ||e^{t Lap} u||_{M^p_p1}, s < 0.
-    Each e^{t Lap} u is a ``DeferredField``, made only if its row is
-    transformed and bounded until then by the moduli |F| e^{-t |xi|^2}."""
+    """Heat characterization sup_t t^(-s/2) ||e^{t Lap} u||_{M^p_p1}, s < 0,
+    one ``morrey_sup`` over the ``heat_row``s of u."""
     if s >= 0:
         raise ValueError(f"the heat characterization needs s < 0, got s = {s}")
     grid = field.grid
     if time_grid is None:
         time_grid = TimeGrid.default_for(grid)
     moduli = _moduli(field)
-
-    # a helper, not a lambda in the generator, so each row binds its own t
-    def heat_row(t):
-        return DeferredField(grid, lambda: moduli * np.exp(-t * grid.k2),
-                             lambda: heat_apply(field, t))
-
-    return morrey_sup(grid, ((t ** (-s / 2.0), heat_row(t)) for t in time_grid.times),
-                      idx, sampling)
+    return morrey_sup(grid, ((t ** (-s / 2.0), heat_row(field, t, moduli=moduli))
+                             for t in time_grid.times), idx, sampling)
 
 
 class XNormsRecord:
@@ -392,23 +403,14 @@ _TERM_FIELDS = {"n": ("n", False), "c_sup": ("c", False), "grad_c": ("c", True),
 def _x_space_terms(traj, exps):
     """The five terms of the X-norm of a ``Trajectory``, keyed as in
     ``ExponentSet.x_terms``: each a Morrey index and a generator of its
-    rows (t^w, field) over the stored times, which makes each field when
-    it is read; a gradient is a ``DeferredField``, made only if its row is
-    transformed and bounded until then by |xi_j| times its field's moduli."""
-    from .spectral import gradient
-
-    grid = traj.grid
-    abs_k = _cached(grid, "abs_k", lambda: np.abs(np.stack(np.broadcast_arrays(*grid.k))))
+    rows (t^w, ``heat_row`` at t = 0) over the stored times, each made
+    when it is read."""
 
     # a helper, not a comprehension, so each generator binds its own w
     def term(p, p1, w, component, derivative):
-        def make(k):
-            field = traj.field(component, k)
-            if not derivative:
-                return field
-            return DeferredField(grid, lambda: abs_k * np.abs(field.coeffs),
-                                 lambda: gradient(field))
-        return MorreyIndex(p, p1), ((float(t) ** w, make(k)) for k, t in enumerate(traj.times))
+        return MorreyIndex(p, p1), ((float(t) ** w, heat_row(traj.field(component, k),
+                                                             derivative=derivative))
+                                    for k, t in enumerate(traj.times))
 
     return {name: term(*row, *_TERM_FIELDS[name]) for name, row in exps.x_terms().items()}
 
@@ -468,9 +470,10 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
     geometric times from h^2 to min(L^2, 1e4 h^2) and the field ensemble,
     one ``morrey_sup`` per request, cached on the grid per (ball sampling,
     index, ensemble) signature, so a constant lives as long as its grid.
-    Requests not cached share the evolved fields: each is made once and
-    taken to physical space once per derivative kind.  An empty ensemble
-    measures nothing and is rejected.
+    Requests not cached share one ``heat_row`` per (field, time, derivative
+    kind): every request bounds it from its spectrum, and it is made and
+    taken to physical space at most once, when some request's bound can
+    still raise the max.  An empty ensemble measures nothing and is rejected.
     """
     if n_fields < 1:
         raise ValueError(f"smoothing constants need n_fields >= 1, got {n_fields}")
@@ -494,9 +497,9 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
 def _smoothing_sups(grid, requests, n_fields, seed, sampling):
     """Each request's constant: one ``morrey_sup`` over the rows (t^pow /
     ||f||_src, (grad) e^{t Lap} f) of each ensemble field f and time t;
-    each ||f||_src is taken once per distinct source index."""
+    each ||f||_src is taken once per distinct source index, and each row is
+    one memoised ``heat_row``, shared by the requests of its derivative kind."""
     from .fields import random_band_limited
-    from .spectral import gradient
 
     h2 = grid.spacing ** 2
     time_grid = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17)
@@ -505,21 +508,17 @@ def _smoothing_sups(grid, requests, n_fields, seed, sampling):
              + (0.5 if derivative else 0.0) for key, (src, dst, derivative) in requests.items()}
     ensemble = [random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
                 for i in range(n_fields)]
-    sources = [PhysicalValues(grid, f.to_physical()) for f in ensemble]
-    values = {derivative: [] for _, _, derivative in requests.values()}
-    for f in ensemble:
-        evolved = [heat_apply(f, t) for t in time_grid.times]
-        for d, per_field in values.items():
-            per_field.append([PhysicalValues(grid, _as_values(gradient(e) if d else e))
-                              for e in evolved])
-    # taken after the evolved fields are made; taken before, a 32^3 solve peaked 13 MB higher
-    src_norms = {src: [morrey_norm(source, src, sampling) for source in sources]
+    src_norms = {src: [morrey_norm(f, src, sampling) for f in ensemble]
                  for src in {idx for idx, _, _ in requests.values()}}
+    moduli = [_moduli(f) for f in ensemble]
+    evolved = {d: [[heat_row(f, t, d, m, memo=True) for t in time_grid.times]
+                   for f, m in zip(ensemble, moduli)]
+               for d in {d for _, _, d in requests.values()}}
 
     def rows(key, src, derivative):
-        return ((t ** power[key] / norm, v)
-                for norm, series in zip(src_norms[src], values[derivative])
-                if norm != 0 for t, v in zip(time_grid.times, series))
+        return ((t ** power[key] / norm, row)
+                for norm, series in zip(src_norms[src], evolved[derivative])
+                if norm != 0 for t, row in zip(time_grid.times, series))
 
     return {key: morrey_sup(grid, rows(key, src, derivative), dst, sampling)
             for key, (src, dst, derivative) in requests.items()}

@@ -2,19 +2,21 @@
 Besov-Morrey characterizations, and the trajectory norms."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mildlab.norms as norms
+import mildlab.spectral as spectral
 from mildlab.grids import Grid, TimeGrid
 from mildlab.spectral import SpectralField, VectorField, gradient, heat_apply, rescale_field
 from mildlab.fields import gaussian, random_band_limited, bump
 from mildlab.norms import (MorreyIndex, BallSampling, morrey_norm,
                            morrey_sup, besov_morrey_norm_heat,
                            x_space_norms, x_space_series, data_norm_I, data_norm_components,
-                           smoothing_constant, PhysicalValues)
+                           smoothing_constant, heat_row)
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
 
@@ -57,7 +59,7 @@ def all_radii_morrey(field, idx, sampling=None):
     grid = field.grid
     if sampling is None:
         sampling = BallSampling.default_for(grid)
-    vals = np.abs(field.to_physical())
+    vals = np.abs(field.magnitude() if isinstance(field, VectorField) else field.to_physical())
     if not vals.any():
         return 0.0
     spec = grid.forward(vals ** idx.p1)
@@ -187,13 +189,22 @@ def test_ball_sampling_rejects_empty_or_non_positive_radii(radii):
         BallSampling(1, radii)
 
 
-def test_physical_values_norm_like_their_field(grid16):
-    # values transformed once give the field's norms, sup index included
+def test_heat_rows_norm_like_the_fields_they_make(grid16):
+    # a deferred (grad) e^{t Lap} f gives the bits of the field it makes, as
+    # one row or in a sup, at a Morrey index and at the sup index; its
+    # moduli are those of that field
     f = random_band_limited(grid16, seed=5)
-    g = gradient(f)
-    for field, values in ((f, f.to_physical()), (g, g.magnitude())):
-        for idx in (MorreyIndex(3, 2), MorreyIndex(math.inf, math.inf)):
-            assert morrey_norm(PhysicalValues(grid16, values), idx) == morrey_norm(field, idx)
+    made = {(0.3, False): heat_apply(f, 0.3), (0.0, True): gradient(f),
+            (0.3, True): gradient(heat_apply(f, 0.3))}
+    for (t, derivative), field in made.items():
+        rows = (heat_row(f, t, derivative),
+                heat_row(f, t, derivative, moduli=norms._moduli(f), memo=True))
+        for row in rows:
+            np.testing.assert_allclose(row.moduli(), norms._moduli(field), rtol=1e-14, atol=0)
+            for idx in (MorreyIndex(3, 2), MorreyIndex(math.inf, math.inf)):
+                assert morrey_norm(row, idx) == morrey_norm(field, idx) > 0
+                assert morrey_sup(grid16, [(0.7, row)], idx) == morrey_sup(grid16, [(0.7, field)],
+                                                                          idx)
 
 
 def _weighted_rows(grid):
@@ -220,7 +231,7 @@ def _sup_cases():
 @pytest.mark.parametrize("case", sorted(_sup_cases()))
 def test_morrey_sup_equals_max_of_weighted_norms(case):
     grid, idx, sampling = _sup_cases()[case]
-    rows = _weighted_rows(grid)
+    rows = _weighted_rows(grid) + [(0.7, gradient(random_band_limited(grid, seed=60)))]
     by_row = [weight * morrey_norm(f, idx, sampling) for weight, f in rows]
     unpruned = [weight * all_radii_morrey(f, idx, sampling) for weight, f in rows]
     assert by_row == unpruned
@@ -274,15 +285,24 @@ def test_morrey_sup_is_won_by_a_later_row(grid16, monkeypatch):
     assert 0 < len(forwards) < len(rows)
 
 
-@pytest.mark.parametrize("case", sorted(_sup_cases()))
-def test_weighted_rows_sup_like_their_physical_values(case):
-    # rows bounded from their spectra give the bits of rows bounded in physical space
-    grid, idx, sampling = _sup_cases()[case]
-    rows = _weighted_rows(grid) + [(0.7, gradient(random_band_limited(grid, seed=60)))]
-    physical = [(weight, PhysicalValues(grid, norms._as_values(f))) for weight, f in rows]
-    for index in (idx, MorreyIndex(math.inf, math.inf)):
-        assert morrey_sup(grid, rows, index, sampling) == morrey_sup(grid, physical, index,
-                                                                     sampling) > 0
+def test_morrey_sup_rejects_a_row_on_another_grid():
+    # the sup's sampling and caches belong to its grid; a row elsewhere is
+    # refused, and one on an equal grid is normed
+    f = random_band_limited(Grid(2, 32, 2.0), seed=3)
+    idx = MorreyIndex(3, 2)
+    for row in (f, heat_row(f, 0.1, True)):
+        with pytest.raises(ValueError, match=r"Grid\(dim=2, m=32, L=2.0\).*"
+                                             r"Grid\(dim=2, m=16, L=2.0\)"):
+            morrey_sup(Grid(2, 16, 2.0), [(1.0, row)], idx)
+    assert morrey_sup(Grid(2, 32, 2.0), [(1.0, f)], idx) == morrey_norm(f, idx) > 0
+
+
+@pytest.mark.parametrize("idx", [MorreyIndex(3, 2), MorreyIndex(math.inf, math.inf)],
+                         ids=["morrey", "sup"])
+def test_morrey_sup_rejects_a_row_of_another_kind(grid16, idx):
+    f = random_band_limited(grid16, seed=3)
+    with pytest.raises(TypeError, match="SpectralField, VectorField or DeferredField"):
+        morrey_sup(grid16, [(1.0, f), (1.0, f.to_physical())], idx)
 
 
 def _half_spectrum(grid, components, seed, modes, exponent):
@@ -766,4 +786,38 @@ def test_smoothing_sources_are_normed_once_per_source_index(monkeypatch):
     smoothing_constant(Grid(2, 16, 4.0), requests, n_fields=3)
     pairs = [(id(field), idx) for field, idx in calls]
     assert len(pairs) == len(set(pairs))
-    assert sum(isinstance(field, PhysicalValues) for field, _ in calls) == 3
+    assert sum(isinstance(field, SpectralField) for field, _ in calls) == 3
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16, 2.0), Grid(3, 8, 2.0)], ids=["2d", "3d"])
+def test_smoothing_rows_are_made_at_most_once(grid, monkeypatch):
+    # two requests per derivative kind share each (field, time, derivative)
+    # row: its values are made at most once, and rows no bound can raise
+    # are never made, so the backward transforms that make values (all but
+    # the ball convolutions, one per ball spectrum read) number fewer than
+    # the rows
+    made, gradients, backwards, balls = [], [], [], []
+    real_heat, real_gradient, real_backward = norms.heat_apply, spectral.gradient, Grid.backward
+    real_ball = norms._ball_spectrum
+
+    def heat(field, t):
+        made.append((field, t, real_heat(field, t)))
+        return made[-1][2]
+
+    def backward(self, coeffs):
+        backwards.append(coeffs.shape)
+        return real_backward(self, coeffs)
+
+    monkeypatch.setattr(norms, "heat_apply", heat)
+    monkeypatch.setattr(spectral, "gradient", lambda f: gradients.append(f) or real_gradient(f))
+    monkeypatch.setattr(Grid, "backward", backward)
+    monkeypatch.setattr(norms, "_ball_spectrum", lambda g, r: balls.append(r) or real_ball(g, r))
+    src, sup = MorreyIndex(2, 1.5), MorreyIndex(math.inf, math.inf)
+    requests = {"sup": (src, sup, False), "dst": (src, MorreyIndex(4, 3), False),
+                "grad_sup": (src, sup, True), "grad_dst": (src, MorreyIndex(3, 2), True)}
+    n_fields = 3
+    measured = smoothing_constant(grid, requests, n_fields)
+    assert all(0 < value < math.inf for value in measured.values())
+    rows = Counter((id(f), t, any(g is out for g in gradients)) for f, t, out in made)
+    assert rows and [row for row, count in rows.items() if count > 1] == []
+    assert len(backwards) - len(balls) < n_fields * 17 * 2
