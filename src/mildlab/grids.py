@@ -10,6 +10,13 @@ import numpy as np
 import scipy.fft as sfft
 
 
+def whole_number(name, value):
+    """``value`` as an int, or a ``ValueError`` naming ``name`` if it is not a whole number."""
+    if not (np.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _per_axis(values):
     """1-D arrays, one per axis, as sparse arrays that broadcast to the grid."""
     return np.meshgrid(*values, indexing="ij", sparse=True)
@@ -21,7 +28,7 @@ class Grid:
     def __init__(self, dim, points_per_axis, box_half_width):
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        m = int(points_per_axis)
+        m = whole_number("points_per_axis", points_per_axis)
         if m < 8 or m % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {points_per_axis}")
         if not 0 < box_half_width < np.inf:
@@ -35,13 +42,16 @@ class Grid:
         self.cell_volume = self.spacing ** dim
         self._fft_axes = tuple(range(-dim, 0))
 
-        # angular wavenumbers pi*m/L, index 0 exactly zero
-        self.k = self._spectral_axes(2.0 * np.pi * sfft.fftfreq(m, d=self.spacing),
-                                     2.0 * np.pi * sfft.rfftfreq(m, d=self.spacing))
-        self.k2 = sum(ki ** 2 for ki in self.k)
-        inv = np.zeros_like(self.k2)
-        np.divide(1.0, self.k2, out=inv, where=self.k2 > 0)
-        self.inv_k2 = inv
+        # angular wavenumbers pi*m/L, index 0 exactly zero.  k2 = |xi|^2 keeps
+        # the Nyquist index m/2, where the odd-derivative symbol k is 0, as a
+        # real field's mode there has no sign; inv_k2 = 1/|k|^2 (Leray, exact)
+        full = 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
+        half = 2.0 * np.pi * sfft.rfftfreq(m, d=self.spacing)
+        self.k2 = sum(ki ** 2 for ki in self._spectral_axes(full, half))
+        full[m // 2] = half[m // 2] = 0.0
+        self.k = self._spectral_axes(full, half)
+        k2_odd = sum(ki ** 2 for ki in self.k)
+        self.inv_k2 = np.divide(1.0, k2_odd, out=np.zeros_like(k2_odd), where=k2_odd > 0)
 
         # 2/3-rule mask for products
         modes = self._spectral_axes(sfft.fftfreq(m, d=1.0 / m), sfft.rfftfreq(m, d=1.0 / m))
@@ -107,11 +117,11 @@ class TimeGrid:
             raise ValueError(f"t0 must be positive and finite, got {t0}")
         if not 1 < ratio < np.inf:
             raise ValueError(f"ratio must exceed 1 and be finite, got {ratio}")
-        if count < 2:
+        self.count = whole_number("count", count)
+        if self.count < 2:
             raise ValueError(f"count must be at least 2, got {count}")
         self.t0 = float(t0)
         self.ratio = float(ratio)
-        self.count = int(count)
         with np.errstate(over="ignore"):
             self.times = t0 * ratio ** np.arange(self.count)
         if not np.isfinite(self.times[-1]):

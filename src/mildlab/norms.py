@@ -13,10 +13,11 @@ over the (row, radius) pairs of a weighted family w_i f_i, with a single
 field's norm as the one-row case.  A ball's local mass is at most the
 total mass sum |f_i|^p1 dV, and at most the peak max |f_i|^p1 dV times
 the ball's lattice-point count, so the pair is worth at most
-w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  A row is a
-``SpectralField``, a ``VectorField`` (normed by its magnitude) or a
-``DeferredField`` (``heat_row``), a (grad) e^{t Lap} f made only when it
-is read in physical space.  Pass 1 (``_bounded``) estimates total and
+w_i R^(N/p - N/p1) min(total, peak count(R))^(1/p1).  Every row is a
+``DeferredField`` (grad) e^{t Lap} f, made by ``heat_row`` of a
+``SpectralField`` or a ``VectorField`` (normed by its magnitude) and
+taken to physical space only when it is read; ``_as_row`` makes and
+checks each norm's input.  Pass 1 (``_bounded``) estimates total and
 peak from the row's coefficients alone: max |f_i| <= W_i (Wiener) and
 sum f_i^2 dV <= P_i (Parseval) give upper estimates of every bound of
 the row, and the row is taken to physical space for its exact total and
@@ -43,7 +44,7 @@ from collections import namedtuple
 import numpy as np
 
 from .admissibility import require_admissible
-from .grids import TimeGrid
+from .grids import TimeGrid, whole_number
 from .spectral import SpectralField, VectorField, heat_apply
 
 
@@ -76,9 +77,9 @@ class BallSampling:
                              f"got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        if center_stride < 1:
+        self.center_stride = whole_number("center_stride", center_stride)
+        if self.center_stride < 1:
             raise ValueError("center_stride must be >= 1")
-        self.center_stride = int(center_stride)
         self.radii = radii
 
     @classmethod
@@ -142,47 +143,48 @@ DeferredField = namedtuple("DeferredField", "grid moduli values")
 
 
 def heat_row(field, t=0.0, derivative=False, moduli=None, memo=False):
-    """(grad) e^{t Lap} field as a ``DeferredField`` of moduli
-    |xi_j| e^{-t |xi|^2} |F|, given |F| as ``moduli`` or taking it from the
-    field; ``memo`` keeps the values once made, for a row read more than once."""
+    """(grad) e^{t Lap} field, of a ``SpectralField`` or ``VectorField`` (else
+    ``TypeError``), as a ``DeferredField`` of moduli |xi_j| e^{-t |xi|^2} |F|,
+    given |F| as ``moduli`` or taken from the field, and of values a
+    scalar's or a vector's magnitude; ``memo`` keeps the values once made,
+    for a row read more than once."""
     from .spectral import gradient
 
+    if not isinstance(field, SpectralField):
+        raise TypeError("a Morrey row is a SpectralField, VectorField or DeferredField, and "
+                        f"heat_row takes one of the first two, not a {type(field).__name__}")
     grid = field.grid
     abs_k = _cached(grid, "abs_k", lambda: np.abs(np.stack(np.broadcast_arrays(*grid.k))))
 
     def bound():
-        out = _moduli(field) if moduli is None else moduli
+        out = np.abs(field.coeffs).reshape((-1,) + grid.kshape) if moduli is None else moduli
         out = out * np.exp(-t * grid.k2) if t else out
         return abs_k * out if derivative else out
 
     def values():
         evolved = heat_apply(field, t) if t else field
-        return _as_values(gradient(evolved) if derivative else evolved)
+        evolved = gradient(evolved) if derivative else evolved
+        return evolved.magnitude() if isinstance(evolved, VectorField) else evolved.to_physical()
 
     return DeferredField(grid, bound, functools.cache(values) if memo else values)
 
 
-class PoweredValues(namedtuple("PoweredValues", "field powered total scale bounds")):
-    """A row of a Morrey sup: its field, |f|^p1 in physical space, the total
-    of |f|^p1 dV, and per sampled radius the factor R^(N/p - N/p1) and the
-    bound R^(N/p - N/p1) min(total, peak count(R))^(1/p1), peak = max |f|^p1 dV.
-    A row bounded from its spectrum alone has ``powered`` None and upper
-    estimates for total and bounds.  For the sup index the only bound is
-    max |f| (or its estimate) and ``scale`` is None."""
-
-    __slots__ = ()
-
-    @property
-    def grid(self):
-        return self.field.grid
+def _as_row(field, grid=None):
+    """``field`` as a ``DeferredField`` (``heat_row(field)`` unless it is
+    one), checked to live on ``grid`` if given (else ``ValueError``)."""
+    row = field if isinstance(field, DeferredField) else heat_row(field)
+    if grid is not None and not grid.compatible(row.grid):
+        raise ValueError(f"a Morrey row lives on {row.grid!r}, not on the grid {grid!r}")
+    return row
 
 
-def _as_values(field):
-    if isinstance(field, DeferredField):
-        return field.values()
-    if isinstance(field, VectorField):
-        return field.magnitude()
-    return field.to_physical()
+#: a row of a Morrey sup: its ``DeferredField``, |f|^p1 in physical space, the
+#: total of |f|^p1 dV, and per sampled radius the factor R^(N/p - N/p1) and the
+#: bound R^(N/p - N/p1) min(total, peak count(R))^(1/p1), peak = max |f|^p1 dV;
+#: a row bounded from its spectrum alone has ``powered`` None and upper
+#: estimates for total and bounds; for the sup index the only bound is
+#: max |f| (or its estimate) and ``scale`` is None
+PoweredValues = namedtuple("PoweredValues", "field powered total scale bounds")
 
 
 def _row(field, powered, total, peak, idx, sampling):
@@ -194,7 +196,7 @@ def _row(field, powered, total, peak, idx, sampling):
 
 def _powered(field, idx, sampling):
     """A row's exact pass 1, from its values in physical space."""
-    values = np.abs(_as_values(field))
+    values = np.abs(field.values())
     if idx.is_sup:
         peak = values.max()
         return PoweredValues(field, values, peak, None, np.array([peak]))
@@ -202,12 +204,6 @@ def _powered(field, idx, sampling):
     powered = values ** idx.p1
     return _row(field, powered, powered.sum() * cell_volume, powered.max() * cell_volume,
                 idx, sampling)
-
-
-def _moduli(field):
-    if isinstance(field, DeferredField):
-        return field.moduli()
-    return np.abs(field.coeffs).reshape((-1,) + field.grid.kshape)
 
 
 def _mu_sum(values, grid):
@@ -249,7 +245,7 @@ def _bounded(field, idx, sampling):
     non-zero field, NaN and inf included) are replaced by inf, so their rows
     are transformed first."""
     with np.errstate(over="ignore", invalid="ignore"):
-        moduli = _moduli(field)
+        moduli = field.moduli()
         wiener, parseval = _wiener_parseval(field.grid, moduli)
         if idx.is_sup:
             total = peak = wiener
@@ -275,23 +271,26 @@ def morrey_norm(field, idx, sampling=None, weight=1.0, floor=0.0):
     ends the search.  The field is transformed forward only if some radius
     is convolved.  The value is bit-identical to max(floor, w max_R ...)
     over every sampled radius.  A field whose total mass is not finite (a
-    NaN or inf value) has norm NaN.  ``field`` is a row of a kind
-    ``morrey_sup`` takes, or one of its ``PoweredValues`` rows made for
-    ``idx`` and ``sampling``; one bounded from its spectrum alone (upper
-    estimates of the exact bounds) returns ``floor`` at once when no bound
-    reaches it, and is taken to physical space otherwise.
+    NaN or inf value) has norm NaN.  ``field`` is a ``SpectralField``,
+    ``VectorField`` or ``DeferredField`` (``_as_row``; else ``TypeError``),
+    or one of ``morrey_sup``'s ``PoweredValues`` rows made for ``idx`` and
+    ``sampling``; one bounded from its spectrum alone (upper estimates of
+    the exact bounds) returns ``floor`` at once when no bound reaches it,
+    and is taken to physical space otherwise.
     """
     if idx.is_sup:
         # np.max, as the builtin max drops a NaN that is not its first argument
-        return float(np.max([floor, weight * float(np.abs(_as_values(field)).max())]))
-    grid = field.grid
-    if sampling is None:
-        sampling = BallSampling.default_for(grid)
-    row = field if isinstance(field, PoweredValues) else _powered(field, idx, sampling)
-    if row.powered is None:
+        return float(np.max([floor, weight * float(np.abs(_as_row(field).values()).max())]))
+    row = field
+    if not isinstance(row, PoweredValues):
+        row = _as_row(field)
+        sampling = BallSampling.default_for(row.grid) if sampling is None else sampling
+        row = _powered(row, idx, sampling)
+    elif row.powered is None:
         if (weight * row.bounds).max() * (1 + 1e-9) < floor:
             return float(floor)
         row = _powered(row.field, idx, sampling)
+    grid = row.field.grid
     if not math.isfinite(row.total):
         return math.nan
     if row.total == 0.0:
@@ -315,8 +314,9 @@ def morrey_sup(grid, rows, idx, sampling=None):
     """max_i w_i ||f_i||_{M^p_p1} over rows (w_i, f_i) of non-negative
     weights and fields on ``grid`` (``SpectralField``s, ``VectorField``s or
     ``DeferredField``s), read once, so a generator makes each field only
-    when pass 1 reaches it; a row on another grid raises ``ValueError`` and
-    a row of another kind ``TypeError``.
+    when pass 1 reaches it.  Each is made a row by ``_as_row`` as it is
+    read: a row on another grid raises ``ValueError`` and a row of another
+    kind ``TypeError``.
 
     Pass 1 bounds every row from its coefficients (``_bounded``): by
     Wiener, max |f_i| <= W_i, and by Parseval, sum f_i^2 dV <= P_i, which
@@ -342,12 +342,7 @@ def morrey_sup(grid, rows, idx, sampling=None):
         sampling = BallSampling.default_for(grid)
     heap = []
     for i, (weight, field) in enumerate(rows):
-        if not isinstance(field, (SpectralField, DeferredField)):
-            raise TypeError("a Morrey row is a SpectralField, VectorField or DeferredField, "
-                            f"not a {type(field).__name__}")
-        if not grid.compatible(field.grid):
-            raise ValueError(f"a Morrey row lives on {field.grid!r}, not on the grid {grid!r}")
-        row = _bounded(field, idx, sampling)
+        row = _bounded(_as_row(field, grid), idx, sampling)
         bound = weight * row.bounds.max()
         # a zero weight times an inf bound counts as inf
         heap.append((-math.inf if math.isnan(bound) else -bound, i, weight, row))
@@ -376,12 +371,12 @@ def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
     one ``morrey_sup`` over the ``heat_row``s of u."""
     if s >= 0:
         raise ValueError(f"the heat characterization needs s < 0, got s = {s}")
-    grid = field.grid
+    row = _as_row(field)
     if time_grid is None:
-        time_grid = TimeGrid.default_for(grid)
-    moduli = _moduli(field)
-    return morrey_sup(grid, ((t ** (-s / 2.0), heat_row(field, t, moduli=moduli))
-                             for t in time_grid.times), idx, sampling)
+        time_grid = TimeGrid.default_for(row.grid)
+    moduli = row.moduli()
+    return morrey_sup(row.grid, ((t ** (-s / 2.0), heat_row(field, t, moduli=moduli))
+                                 for t in time_grid.times), idx, sampling)
 
 
 class XNormsRecord:
@@ -453,7 +448,7 @@ def data_norm_components(data, exps, time_grid=None, sampling=None):
         component, derivative = _TERM_FIELDS[name]
         field = gradient(getattr(data, component)) if derivative else getattr(data, component)
         if math.isinf(p):
-            return float(np.abs(_as_values(field)).max())
+            return morrey_norm(field, MorreyIndex(p, p1))
         return besov_morrey_norm_heat(field, MorreyIndex(p, p1), -2.0 * w, time_grid, sampling)
 
     keys = {"n": "n0", "c_sup": "c0_sup", "grad_c": "grad_c0", "grad_v": "grad_v0", "u": "u0"}
@@ -468,12 +463,14 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
 
     Each is the sup of t^pow ||(grad) e^{t Lap} f||_dst / ||f||_src over 17
     geometric times from h^2 to min(L^2, 1e4 h^2) and the field ensemble,
-    one ``morrey_sup`` per request, cached on the grid per (ball sampling,
-    index, ensemble) signature, so a constant lives as long as its grid.
-    Requests not cached share one ``heat_row`` per (field, time, derivative
-    kind): every request bounds it from its spectrum, and it is made and
-    taken to physical space at most once, when some request's bound can
-    still raise the max.  An empty ensemble measures nothing and is rejected.
+    one ``morrey_sup`` per request over its rows (t^pow / ||f||_src,
+    ``heat_row``), cached on the grid per (ball sampling, index, ensemble)
+    signature, so a constant lives as long as its grid.  Only requests not
+    cached make the ensemble, take each ||f||_src once per source index and
+    share one memoised ``heat_row`` per (field, time, derivative kind):
+    every request bounds it from its spectrum, and it is made and taken to
+    physical space at most once, when some request's bound can still raise
+    the max.  An empty ensemble measures nothing and is rejected.
     """
     if n_fields < 1:
         raise ValueError(f"smoothing constants need n_fields >= 1, got {n_fields}")
@@ -489,36 +486,24 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
             for name, (src, dst, derivative) in requests.items()}
     missing = {key: requests[name] for name, key in keys.items() if key not in grid._cache}
     if missing:
-        for key, value in _smoothing_sups(grid, missing, n_fields, seed, sampling).items():
-            grid._cache[key] = float(value)
+        from .fields import random_band_limited
+
+        h2 = grid.spacing ** 2
+        time_grid = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17)
+        ensemble = [random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
+                    for i in range(n_fields)]
+        src_norms = {src: [morrey_norm(f, src, sampling) for f in ensemble]
+                     for src in {idx for idx, _, _ in missing.values()}}
+        moduli = [heat_row(f).moduli() for f in ensemble]
+        evolved = {d: [[heat_row(f, t, d, m, memo=True) for t in time_grid.times]
+                       for f, m in zip(ensemble, moduli)]
+                   for d in {d for _, _, d in missing.values()}}
+        for key, (src, dst, derivative) in missing.items():
+            power = ((grid.dim / (2.0 * src.p) if dst.is_sup
+                      else (grid.dim / 2.0) * (1.0 / src.p - 1.0 / dst.p))
+                     + (0.5 if derivative else 0.0))
+            rows = ((t ** power / norm, row)
+                    for norm, series in zip(src_norms[src], evolved[derivative])
+                    if norm != 0 for t, row in zip(time_grid.times, series))
+            grid._cache[key] = float(morrey_sup(grid, rows, dst, sampling))
     return {name: grid._cache[key] for name, key in keys.items()}
-
-
-def _smoothing_sups(grid, requests, n_fields, seed, sampling):
-    """Each request's constant: one ``morrey_sup`` over the rows (t^pow /
-    ||f||_src, (grad) e^{t Lap} f) of each ensemble field f and time t;
-    each ||f||_src is taken once per distinct source index, and each row is
-    one memoised ``heat_row``, shared by the requests of its derivative kind."""
-    from .fields import random_band_limited
-
-    h2 = grid.spacing ** 2
-    time_grid = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17)
-    N = grid.dim
-    power = {key: (N / (2.0 * src.p) if dst.is_sup else (N / 2.0) * (1.0 / src.p - 1.0 / dst.p))
-             + (0.5 if derivative else 0.0) for key, (src, dst, derivative) in requests.items()}
-    ensemble = [random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
-                for i in range(n_fields)]
-    src_norms = {src: [morrey_norm(f, src, sampling) for f in ensemble]
-                 for src in {idx for idx, _, _ in requests.values()}}
-    moduli = [_moduli(f) for f in ensemble]
-    evolved = {d: [[heat_row(f, t, d, m, memo=True) for t in time_grid.times]
-                   for f, m in zip(ensemble, moduli)]
-               for d in {d for _, _, d in requests.values()}}
-
-    def rows(key, src, derivative):
-        return ((t ** power[key] / norm, row)
-                for norm, series in zip(src_norms[src], evolved[derivative])
-                if norm != 0 for t, row in zip(time_grid.times, series))
-
-    return {key: morrey_sup(grid, rows(key, src, derivative), dst, sampling)
-            for key, (src, dst, derivative) in requests.items()}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, TimeGrid
+from .grids import Grid, TimeGrid, whole_number
 from .state import StateTuple, Trajectory
 from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
     divergence_defects
@@ -50,10 +50,12 @@ class SolverConfig:
     sampling: object = None
 
     def __post_init__(self):
+        self.max_iters = whole_number("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        self.quad_nodes = whole_number("quad_nodes", self.quad_nodes)
         if self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes}")
         _require_grid(self, force=self.force)

@@ -12,11 +12,16 @@ same module, no call may name the builtin ``print``, every top-level
 definition, in the package, the tests or the benchmark harness, and a
 string constant may name C1..C7, C4_1..C5_2, alpha or beta only in
 ``admissibility.py`` (the operator table) and ``duhamel.py`` (the terms
-and the constants table).
+and the constants table).  A last check runs pytest under the repo's
+config, where warnings are errors, on a failing hypothesis test: the
+session must go on past it.
 """
 
 import ast
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -153,3 +158,25 @@ def test_check_flags_a_module_level_cache():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_level_caches(path):
     assert module_caches(path.read_text()) == [], path.name
+
+
+def test_a_failing_hypothesis_test_ends_only_itself(tmp_path):
+    # under the repo's config, where warnings are errors, hypothesis's
+    # failure report must not end the session: the next test still runs
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=5, deadline=None, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+        def test_runs_after():
+            pass
+    """))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           str(tmp_path)], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1, done.stdout[-3000:]
+    assert "1 failed, 1 passed" in done.stdout

@@ -16,7 +16,7 @@ from mildlab.fields import gaussian, random_band_limited, bump
 from mildlab.norms import (MorreyIndex, BallSampling, morrey_norm,
                            morrey_sup, besov_morrey_norm_heat,
                            x_space_norms, x_space_series, data_norm_I, data_norm_components,
-                           smoothing_constant, heat_row)
+                           smoothing_constant, heat_row, weighted_series)
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet
 
@@ -198,9 +198,9 @@ def test_heat_rows_norm_like_the_fields_they_make(grid16):
             (0.3, True): gradient(heat_apply(f, 0.3))}
     for (t, derivative), field in made.items():
         rows = (heat_row(f, t, derivative),
-                heat_row(f, t, derivative, moduli=norms._moduli(f), memo=True))
+                heat_row(f, t, derivative, moduli=heat_row(f).moduli(), memo=True))
         for row in rows:
-            np.testing.assert_allclose(row.moduli(), norms._moduli(field), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(row.moduli(), heat_row(field).moduli(), rtol=1e-14, atol=0)
             for idx in (MorreyIndex(3, 2), MorreyIndex(math.inf, math.inf)):
                 assert morrey_norm(row, idx) == morrey_norm(field, idx) > 0
                 assert morrey_sup(grid16, [(0.7, row)], idx) == morrey_sup(grid16, [(0.7, field)],
@@ -305,6 +305,20 @@ def test_morrey_sup_rejects_a_row_of_another_kind(grid16, idx):
         morrey_sup(grid16, [(1.0, f), (1.0, f.to_physical())], idx)
 
 
+@pytest.mark.parametrize("norm", [
+    lambda grid, values: morrey_norm(values, MorreyIndex(3, 2)),
+    lambda grid, values: morrey_norm(values, MorreyIndex(math.inf, math.inf)),
+    lambda grid, values: weighted_series(MorreyIndex(3, 2), [(1.0, values)]),
+    lambda grid, values: besov_morrey_norm_heat(values, MorreyIndex(3, 2), -0.5),
+], ids=["morrey_norm", "morrey_norm sup", "weighted_series", "besov_morrey"])
+def test_every_norm_rejects_a_bare_array(grid16, norm):
+    # each entry makes its input a row through the check morrey_sup uses
+    # (the test above), which names the row kinds
+    values = random_band_limited(grid16, seed=3).to_physical()
+    with pytest.raises(TypeError, match="SpectralField, VectorField or DeferredField"):
+        norm(grid16, values)
+
+
 def _half_spectrum(grid, components, seed, modes, exponent):
     """Random coefficients on ``modes`` modes of a half-spectrum, of scale
     10^exponent, Hermitian-inconsistent on the self-conjugate planes."""
@@ -331,26 +345,27 @@ def test_spectral_bounds_dominate_exact_rows(dim, vector, p1, ratio, seed, modes
     elif kind != "random":
         coeffs.flat[seed % coeffs.size] = math.nan if kind == "nan" else math.inf
     field = cls(grid, coeffs)
+    row = heat_row(field)
     idx, sup = MorreyIndex(p1 * ratio, p1), MorreyIndex(math.inf, math.inf)
     sampling = BallSampling.default_for(grid)
-    bounded, bounded_sup = norms._bounded(field, idx, sampling), norms._bounded(field, sup, None)
+    bounded, bounded_sup = norms._bounded(row, idx, sampling), norms._bounded(row, sup, None)
     assert bounded.powered is None and bounded_sup.powered is None
     if kind in ("nan", "inf"):
         # no finite bound: the row is transformed, and its NaN makes the sup NaN
         assert np.isinf(bounded.bounds).all() and np.isinf(bounded_sup.bounds).all()
         assert math.isnan(morrey_sup(grid, [(1.0, field)], idx))
         return
-    values = np.abs(norms._as_values(field))
-    wiener, parseval = norms._wiener_parseval(grid, norms._moduli(field))
+    values = np.abs(row.values())
+    wiener, parseval = norms._wiener_parseval(grid, row.moduli())
     total, peak = norms._power_bounds(grid, p1, wiener, parseval)
-    exact = norms._powered(field, idx, sampling)
+    exact = norms._powered(row, idx, sampling)
     widen = 1 + 1e-9
     assert values.max() <= wiener * widen
     assert (values ** 2).sum() * grid.cell_volume <= parseval * widen
     assert exact.total <= total * widen
     assert exact.powered.max() * grid.cell_volume <= peak * widen
     assert np.all(exact.bounds <= bounded.bounds)
-    assert norms._powered(field, sup, None).bounds[0] <= bounded_sup.bounds[0]
+    assert norms._powered(row, sup, None).bounds[0] <= bounded_sup.bounds[0]
     assert morrey_sup(grid, [(1.0, field)], idx, sampling) == morrey_norm(field, idx, sampling)
     if kind == "zero":
         assert bounded.bounds.max() == bounded_sup.bounds[0] == 0.0
@@ -361,10 +376,11 @@ def test_spectral_bounds_are_not_trusted_where_they_underflow():
     # sum |f|^1.5 dV is about 1e-300: the row is bounded by inf and transformed
     grid = Grid(2, 8, 2.0)
     field = SpectralField(grid, 1e-200 * _half_spectrum(grid, 1, 7, 400, 0.0)[0])
+    row = heat_row(field)
     idx = MorreyIndex(3, 1.5)
     sampling = BallSampling.default_for(grid)
-    assert norms._wiener_parseval(grid, norms._moduli(field))[1] == 0.0
-    assert np.isinf(norms._bounded(field, idx, sampling).bounds).all()
+    assert norms._wiener_parseval(grid, row.moduli())[1] == 0.0
+    assert np.isinf(norms._bounded(row, idx, sampling).bounds).all()
     assert morrey_sup(grid, [(1.0, field)], idx) == morrey_norm(field, idx) > 0
 
 

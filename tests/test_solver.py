@@ -15,7 +15,7 @@ from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import suggest_subindices, operator_table
 from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents
-from mildlab.norms import MorreyIndex, x_space_norms, smoothing_constant
+from mildlab.norms import BallSampling, MorreyIndex, x_space_norms, smoothing_constant
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
                             smallness_check, measured_constants)
 
@@ -456,6 +456,51 @@ def test_state_with_a_component_on_another_grid_is_rejected(name):
                                          r"Grid\(dim=2, m=16, L=8\.0\), "
                                          r"not on n's grid Grid\(dim=2, m=16, L=4\.0\)"):
         picard_solve(data, config)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("points_per_axis", lambda grid: Grid(2, 16.7, 4.0)),
+    ("count", lambda grid: TimeGrid(1.0, 2.0, 3.9)),
+    ("count", lambda grid: TimeGrid(1.0, 2.0, math.inf)),
+    ("center_stride", lambda grid: BallSampling(1.5, [0.5, 1.0])),
+    ("quad_nodes", lambda grid: SolverConfig(exps=exponents_2d(), grid=grid,
+                                             time_grid=TimeGrid(0.1, 2.0, 3), quad_nodes=4.5)),
+    ("max_iters", lambda grid: SolverConfig(exps=exponents_2d(), grid=grid,
+                                            time_grid=TimeGrid(0.1, 2.0, 3), max_iters=2.5)),
+], ids=["grid", "time grid", "time grid inf", "sampling", "quad_nodes", "max_iters"])
+def test_sizes_must_be_whole_numbers(small_grid, name, make):
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got"):
+        make(small_grid)
+
+
+def test_whole_sizes_of_any_number_type_are_kept(small_grid):
+    assert Grid(2, 16.0, 4.0).m == 16 and TimeGrid(1.0, 2.0, np.int64(3)).count == 3
+    assert BallSampling(np.float64(2.0), [0.5]).center_stride == 2
+    config = SolverConfig(exps=exponents_2d(), grid=small_grid, time_grid=TimeGrid(0.1, 2.0, 3),
+                          quad_nodes=4.0, max_iters=np.int64(3))
+    assert (config.quad_nodes, config.max_iters) == (4, 3)
+    assert all(type(v) is int for v in (config.quad_nodes, config.max_iters))
+
+
+def test_lattice_shift_commutes_with_picard_map():
+    # a shift by whole cells in physical space is exact on the lattice, so
+    # it commutes with the map up to round-off, the velocity included
+    grid = Grid(3, 16, 4.0)
+    config = SolverConfig(exps=exponents_3d(), grid=grid, quad_nodes=12,
+                          time_grid=TimeGrid.spanning(grid.spacing ** 2, 16.0, 12))
+    axes = (-3, -2, -1)
+
+    def shifted(field):
+        return type(field).from_physical(grid, np.roll(field.to_physical(), (3, 5, 2), axis=axes))
+
+    data = gaussian_data(grid, amplitude=1e-3)
+    moved = StateTuple(0.0, *(shifted(getattr(data, name)) for name in "ncvu"))
+    maps = [picard_map(caloric_extension(d, 0.0, config.time_grid), d, config)
+            for d in (data, moved)]
+    for name in "ncvu":
+        want, got = (grid.backward(getattr(traj, name)) for traj in maps)
+        want = np.roll(want, (3, 5, 2), axis=axes)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
 def test_config_needs_two_quadrature_nodes(small_grid, small_config):
