@@ -8,6 +8,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
+from .grids import whole_number
+
 # relative slack for clauses designed to sit at equality
 _EQ_SLACK = 1e-9
 
@@ -36,7 +38,7 @@ class ExponentSet:
     N1: float
 
     def __post_init__(self):
-        self.N = int(self.N)
+        self.N = whole_number("N", self.N)
         for name in ("p", "q", "r", "p1", "q1", "r1", "N1", "gamma"):
             setattr(self, name, float(getattr(self, name)))
 

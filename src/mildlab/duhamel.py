@@ -20,6 +20,7 @@ import numpy as np
 import scipy.special as special
 
 from .admissibility import operator_table
+from .grids import whole_number
 from .norms import MorreyIndex, morrey_norm
 
 
@@ -40,11 +41,11 @@ class QuadratureRule:
     def __init__(self, a, b, node_count=32):
         if a >= 1 or b >= 1:
             raise ValueError(f"non-integrable endpoint weights: a={a:g}, b={b:g}")
-        if node_count < 2:
-            raise ValueError("need at least 2 nodes")
+        self.node_count = whole_number("node_count", node_count)
+        if self.node_count < 2:
+            raise ValueError(f"node_count must be at least 2, got {node_count}")
         self.a = float(a)
         self.b = float(b)
-        self.node_count = int(node_count)
         with np.errstate(invalid="ignore", divide="ignore"):
             x, w = special.roots_jacobi(self.node_count, -self.a, -self.b)
         self.nodes = 0.5 * (x + 1.0)

@@ -47,9 +47,6 @@ class SelfSimilarResidual:
     per_component: dict
     pairs: int
 
-    def __getitem__(self, name):
-        return self.per_component[name]
-
 
 def verify_self_similar(traj, lambdas, window, gamma=0.0):
     """Residuals of n(x,t) = lam^2 n(lam x, lam^2 t) and companions over

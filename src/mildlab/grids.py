@@ -142,8 +142,5 @@ class TimeGrid:
         """64 times over the resolvable diffusion scales of the grid: [h^2, L^2]."""
         return cls.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 64)
 
-    def __len__(self):
-        return self.count
-
     def __repr__(self):
         return f"TimeGrid(t0={self.t0:g}, ratio={self.ratio:g}, count={self.count})"

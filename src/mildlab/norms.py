@@ -455,11 +455,15 @@ def data_norm_components(data, exps, time_grid=None, sampling=None):
     return {keys[name]: summand(name, *row) for name, row in exps.x_terms().items()}
 
 
-def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
+_SMOOTHING_SEED = 1234
+
+
+def smoothing_constant(grid, requests, n_fields, sampling=None):
     """Measured constants of the heat smoothing estimates
     ||(grad) e^{t Lap} f||_dst <= C t^{-pow} ||f||_src over ``n_fields``
     random fields, for a mapping name -> (src index, dst index,
-    derivative); returns name -> constant.
+    derivative); returns name -> constant.  Field i of the ensemble is
+    ``random_band_limited`` at seed ``_SMOOTHING_SEED + i``.
 
     Each is the sup of t^pow ||(grad) e^{t Lap} f||_dst / ||f||_src over 17
     geometric times from h^2 to min(L^2, 1e4 h^2) and the field ensemble,
@@ -482,7 +486,7 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
     if sampling is None:
         sampling = BallSampling.default_for(grid)
     keys = {name: ("smoothing", sampling.center_stride, sampling.radii, src, dst, derivative,
-                   n_fields, seed)
+                   n_fields)
             for name, (src, dst, derivative) in requests.items()}
     missing = {key: requests[name] for name, key in keys.items() if key not in grid._cache}
     if missing:
@@ -490,7 +494,7 @@ def smoothing_constant(grid, requests, n_fields, seed=1234, sampling=None):
 
         h2 = grid.spacing ** 2
         time_grid = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17)
-        ensemble = [random_band_limited(grid, seed + i, corr_cells=3.0 + (i % 4))
+        ensemble = [random_band_limited(grid, _SMOOTHING_SEED + i, corr_cells=3.0 + (i % 4))
                     for i in range(n_fields)]
         src_norms = {src: [morrey_norm(f, src, sampling) for f in ensemble]
                      for src in {idx for idx, _, _ in missing.values()}}

@@ -94,17 +94,6 @@ class IterationTrace:
     final_residual: float = math.nan
     constants: ConstantsTable = None
 
-    def as_dict(self):
-        return {
-            "x_norms": list(self.x_norms),
-            "diffs": list(self.diffs),
-            "ratios": list(self.ratios),
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-        }
-
 
 def _solenoidal(u0):
     """The data velocity, Leray-projected with a warning if it is not solenoidal."""
@@ -130,12 +119,14 @@ def caloric_extension(data, gamma, time_grid):
 
 
 def _integrand_store(traj, force, cell_fluxes):
-    """Contracted integrand spectra of every bilinear term and, given a
-    force, L4, keyed by tuples of tags (a group of ``cell_fluxes`` sums its
-    integrands), flattened to the 2/3-dealiased modes (every other mode of
-    a dealiased product is exactly zero) and stacked per stored time as
-    (T, [dim,] modes); the physical transforms are shared across tags.  L3
-    is the cell density itself, kept on every mode as (T, all modes)."""
+    """Contracted integrand spectra of every bilinear term, of L4 given a
+    force, and of L3, as {tags: (modes, stack)} keyed by tuples of tags (a
+    group of ``cell_fluxes`` sums its integrands).  ``modes`` indexes the
+    flattened half-spectrum and ``stack`` holds those modes per stored time
+    as (T, [dim,] modes).  A product keeps the 2/3-dealiased modes (every
+    other mode of a dealiased product is exactly zero), and the physical
+    transforms are shared across tags.  L3 is the cell density itself, on
+    every mode (``modes`` is a full slice)."""
     grid = traj.grid
     dim = grid.dim
     t_count = len(traj)
@@ -180,8 +171,9 @@ def _integrand_store(traj, force, cell_fluxes):
                  for j in range(dim)], store[("B444",)][kk])
         if force is not None:
             project([-packed(n_phys * f_phys[j]) for j in range(dim)], store[("L4",)][kk])
-    store[("L3",)] = traj.n.reshape(t_count, -1)
-    return store
+    stacks = {tags: (keep, stack) for tags, stack in store.items()}
+    stacks[("L3",)] = (slice(None), traj.n.reshape(t_count, -1))
+    return stacks
 
 
 def _duhamel_weights(t, rule, gamma, times, k2_shells):
@@ -235,18 +227,15 @@ def picard_map(traj, data, config):
     for tag in (tag for tag, (_, target) in TERMS.items() if target == "n"):
         cell[rules[tag]] = cell.get(rules[tag], ()) + (tag,)
     store = _integrand_store(traj, force, tuple(cell.values()))
-    target_of = {tags: TERMS[tags[0]][1] for tags in store}
-    group_of = {tags: (rules[tags[0]], config.gamma if target_of[tags] == "v" else 0.0)
+    group_of = {tags: (rules[tags[0]], config.gamma if TERMS[tags[0]][1] == "v" else 0.0)
                 for tags in store}
-    # a stack's modes, by its length: L3 spans every mode, a product the
-    # dealiased ones; a group's weights live on the shells of the modes it reads
+    # a group's weights live on the shells of the modes its stacks read
     k2 = grid.k2.reshape(-1)
-    dealiased = np.flatnonzero(grid.dealias_mask)
-    modes = {k2.size: slice(None), dealiased.size: dealiased}
-    reads = {(group_of[tags], stack.shape[-1]) for tags, stack in store.items()}
-    shells = {group: np.unique(np.concatenate([k2[modes[n]] for g, n in reads if g == group]))
-              for group, _ in reads}
-    columns = {(group, n): np.searchsorted(shells[group], k2[modes[n]]) for group, n in reads}
+    shells = {group: np.unique(np.concatenate([k2[modes] for tags, (modes, _) in store.items()
+                                               if group_of[tags] == group]))
+              for group in dict.fromkeys(group_of.values())}
+    columns = {tags: np.searchsorted(shells[group_of[tags]], k2[modes])
+               for tags, (modes, _) in store.items()}
 
     out = caloric_extension(data, config.gamma, config.time_grid)
     # (T, [dim,] modes) views of the output components
@@ -255,27 +244,18 @@ def picard_map(traj, data, config):
     for kk, t in enumerate(times):
         weights = {group: _duhamel_weights(t, *group, times, k2_shells)
                    for group, k2_shells in shells.items()}
-        # one gather at a time, shared by consecutive stacks with its key
-        gathered = (None, None)
-        for tags, stack in store.items():
-            key = (group_of[tags], stack.shape[-1])
-            if gathered[0] != key:
-                gathered = (key, weights[key[0]][:, columns[key]])
-            rows = gathered[1]
+        for tags, (modes, stack) in store.items():
+            rows = weights[group_of[tags]][:, columns[tags]]
             # the weights are real: the real and imaginary parts contract apart,
             # in real arithmetic, into one complex term
             part = stack[:len(rows)]
             term = np.empty(part.shape[1:], dtype=complex)
             np.einsum("jm,j...m->...m", rows, part.real, out=term.real)
             np.einsum("jm,j...m->...m", rows, part.imag, out=term.imag)
-            flat[target_of[tags]][kk][..., modes[stack.shape[-1]]] += term
+            flat[TERMS[tags[0]][1]][kk][..., modes] += term
     # the attractant is defined modulo constants: pin its zero mode
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out
-
-
-def _trace_norm(traj, config):
-    return x_space_norms(traj, config.exps, config.sampling).total
 
 
 def picard_solve(data, config, constants=None):
@@ -290,14 +270,14 @@ def picard_solve(data, config, constants=None):
     # project the data velocity once, so the maps' caloric rows do not warn again
     data = StateTuple(data.t, data.n, data.c, data.v, _solenoidal(data.u))
     x = caloric_extension(data, config.gamma, config.time_grid)
-    trace.x_norms.append(_trace_norm(x, config))
+    trace.x_norms.append(x_space_norms(x, config.exps, config.sampling).total)
     for m in range(config.max_iters):
         x_next = picard_map(x, data, config)
         # x_next - x overwrites x, dropped next: no third trajectory is made
         for name in ("n", "c", "v", "u"):
             np.subtract(getattr(x_next, name), getattr(x, name), out=getattr(x, name))
-        d_m = _trace_norm(x, config)
-        norm_next = _trace_norm(x_next, config)
+        d_m = x_space_norms(x, config.exps, config.sampling).total
+        norm_next = x_space_norms(x_next, config.exps, config.sampling).total
         trace.diffs.append(d_m)
         trace.x_norms.append(norm_next)
         if len(trace.diffs) >= 2:

@@ -1,6 +1,7 @@
 """Admissibility clauses, sub-index suggestion, and the worked exponent sets."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_report_when_an_exponent_is_zero(changes):
     assert not report.admissible
     assert any(msg.startswith(f"{zero} = 0 leaves") for msg in report.failed_clauses)
     with pytest.raises(ValueError, match=f"{zero} = 0 leaves"):
+        require_admissible(e)
+
+
+@pytest.mark.parametrize("changes, clause", [
+    (dict(N=1), "N >= 2 fails for N=1"),
+    (dict(gamma=-0.5), "gamma >= 0 fails for gamma=-0.5"),
+    (dict(r1=3), "(C): q/q1 = r/r1 fails (1.5 vs 1.33333)"),
+    (dict(p1=2), "(C): p/p1 <= q/q1 fails (2 vs 1.5)"),
+], ids=["N", "gamma", "ratio equality", "ratio order"])
+def test_report_names_each_violated_clause(changes, clause):
+    e = dataclasses.replace(worked_3d(), **changes)
+    report = check_admissible(e)
+    assert not report.admissible
+    assert clause in report.failed_clauses
+    with pytest.raises(ValueError, match=re.escape(clause)):
         require_admissible(e)
 
 

@@ -59,6 +59,17 @@ def test_rule_rejects_nonintegrable():
         QuadratureRule(0.5, 1.2)
 
 
+@pytest.mark.parametrize("node_count", [1, 0])
+def test_rule_rejects_fewer_than_two_nodes(node_count):
+    with pytest.raises(ValueError, match=f"^node_count must be at least 2, got {node_count}$"):
+        QuadratureRule(0.5, 0.5, node_count)
+
+
+def test_rule_exponents_reject_an_unknown_tag():
+    with pytest.raises(ValueError, match="^unknown operator tag 'B999'$"):
+        rule_exponents("B999", exps_2d())
+
+
 def test_scalar_duhamel_identity():
     # integral_0^t (t-tau)^{-a} tau^{-b} dtau = t^{1-a-b} b(1-a, 1-b), read
     # off the zero mode of the per-node quadrature, where the heat kernel is 1
@@ -252,8 +263,8 @@ def test_bilinear_zero_argument_gives_zero(caloric_setup):
     full = _integrand_store(traj, force, SPLIT)
     store = _integrand_store(scaled(traj, n=0.0), force, SPLIT)
     for tag in tags:
-        assert np.abs(full[(tag,)]).max() > 0, tag
-        assert np.abs(store[(tag,)]).max() == 0.0, tag
+        assert np.abs(full[(tag,)][1]).max() > 0, tag
+        assert np.abs(store[(tag,)][1]).max() == 0.0, tag
 
 
 def test_bilinear_scaling_in_each_slot(caloric_setup):
@@ -261,15 +272,15 @@ def test_bilinear_scaling_in_each_slot(caloric_setup):
     # (u, c, v) jointly
     traj, _, _ = caloric_setup
     lam = 3.0
-    base = _integrand_store(traj, None, FUSED)[FUSED[0]]
+    base = _integrand_store(traj, None, FUSED)[FUSED[0]][1]
     for slots in ({"n": lam}, {"u": lam, "c": lam, "v": lam}):
-        stack = _integrand_store(scaled(traj, **slots), None, FUSED)[FUSED[0]]
+        stack = _integrand_store(scaled(traj, **slots), None, FUSED)[FUSED[0]][1]
         assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slots
 
 
 def test_b444_divergence_free(caloric_setup):
     traj, _, _ = caloric_setup
-    stack = unpacked(traj.grid, _integrand_store(traj, None, SPLIT)[("B444",)])
+    stack = unpacked(traj.grid, _integrand_store(traj, None, SPLIT)[("B444",)][1])
     assert np.abs(stack).max() > 0
     assert divergence_defects(traj.grid, stack).max() < 1e-12
 

@@ -43,6 +43,14 @@ def test_verify_requires_zero_gamma():
         verify_self_similar(traj, [2], SelfSimilarWindow.default_for(grid), gamma=0.5)
 
 
+@pytest.mark.parametrize("lam", [1.5, 0, -2])
+def test_verify_rejects_a_lambda_off_the_lattice(lam):
+    grid = Grid(2, 32, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 2.0, 4).times)
+    with pytest.raises(ValueError, match=f"must be a positive integer, got {lam}$"):
+        verify_self_similar(traj, [1, lam], SelfSimilarWindow(0.5, 2.0))
+
+
 def test_lambda_one_residual_exactly_zero():
     grid = Grid(2, 48, 8.0)
     tg = TimeGrid(grid.spacing ** 2, 2.0, 10)

@@ -12,9 +12,10 @@ same module, no call may name the builtin ``print``, every top-level
 definition, in the package, the tests or the benchmark harness, and a
 string constant may name C1..C7, C4_1..C5_2, alpha or beta only in
 ``admissibility.py`` (the operator table) and ``duhamel.py`` (the terms
-and the constants table).  A last check runs pytest under the repo's
-config, where warnings are errors, on a failing hypothesis test: the
-session must go on past it.
+and the constants table).  No call ``int(x)`` of a bare name or an
+attribute truncates a size outside ``grids.whole_number``.  A last check
+runs pytest under the repo's config, where warnings are errors, on a
+failing hypothesis test: the session must go on past it.
 """
 
 import ast
@@ -158,6 +159,35 @@ def test_check_flags_a_module_level_cache():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_level_caches(path):
     assert module_caches(path.read_text()) == [], path.name
+
+
+def truncating_ints(source, exempt=()):
+    """Lines that call ``int`` on a bare name or an attribute, which turns
+    a fractional size into a smaller whole one without a word, outside the
+    functions named in ``exempt``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name in exempt
+               for node in ast.walk(func)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "int" and len(node.args) == 1
+            and isinstance(node.args[0], (ast.Name, ast.Attribute)) and id(node) not in allowed]
+
+
+def test_check_flags_a_truncating_int():
+    assert truncating_ints("m = int(x)\nn = int(self.n)\nk = int(round(x))\nj = int(a.max())\n"
+                           "i = int('3')\n") == [1, 2]
+    checker = "def whole_number(v):\n    return int(v)\n\n\ndef f(v):\n    return int(v)\n"
+    assert truncating_ints(checker, exempt=("whole_number",)) == [6]
+    assert truncating_ints(checker) == [2, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_sizes_are_made_whole_only_by_whole_number(path):
+    # every size goes through grids.whole_number, which rejects a fraction
+    exempt = ("whole_number",) if path.name == "grids.py" else ()
+    assert truncating_ints(path.read_text(), exempt) == [], path.name
 
 
 def test_a_failing_hypothesis_test_ends_only_itself(tmp_path):

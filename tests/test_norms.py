@@ -189,6 +189,18 @@ def test_ball_sampling_rejects_empty_or_non_positive_radii(radii):
         BallSampling(1, radii)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MorreyIndex(2, 3), r"need 1 <= p1 <= p, got p=2, p1=3"),
+    (lambda: MorreyIndex(2, 0.5), r"need 1 <= p1 <= p, got p=2, p1=0.5"),
+    (lambda: BallSampling(1, [1.0, 0.5]), r"radii must be strictly increasing"),
+    (lambda: BallSampling(1, [0.5, 0.5]), r"radii must be strictly increasing"),
+    (lambda: BallSampling(0, [0.5]), r"center_stride must be >= 1"),
+], ids=["p1 above p", "p1 below 1", "decreasing radii", "repeated radius", "stride 0"])
+def test_morrey_index_and_sampling_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_heat_rows_norm_like_the_fields_they_make(grid16):
     # a deferred (grad) e^{t Lap} f gives the bits of the field it makes, as
     # one row or in a sup, at a Morrey index and at the sup index; its
@@ -728,7 +740,7 @@ def test_smoothing_constant_is_the_brute_force_sup_ratio(grid):
     src, dst = MorreyIndex(2, 1.5), MorreyIndex(4, 3)
     requests = {"sup": (src, MorreyIndex(math.inf, math.inf), False),
                 "grad": (src, dst, True)}
-    measured = smoothing_constant(grid, requests, n_fields=3, seed=1234)
+    measured = smoothing_constant(grid, requests, n_fields=3)
     N, h2 = grid.dim, grid.spacing ** 2
     times = TimeGrid.spanning(h2, min(grid.box_half_width ** 2, h2 * 1e4), 17).times
     ratios = {"sup": [], "grad": []}

@@ -14,7 +14,8 @@ from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat
 from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import suggest_subindices, operator_table
-from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents
+from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents, \
+    QuadratureRule
 from mildlab.norms import BallSampling, MorreyIndex, x_space_norms, smoothing_constant
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
                             smallness_check, measured_constants)
@@ -400,6 +401,43 @@ def test_config_rejects_gamma_other_than_the_exponents(small_grid, small_config)
                      time_grid=small_config.time_grid, gamma=0.3)
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(max_iters=0), "max_iters must be >= 1"),
+    (dict(max_iters=-2), "max_iters must be >= 1"),
+    (dict(tol=0.0), "tol must be positive"),
+    (dict(tol=-1e-8), "tol must be positive"),
+], ids=["max_iters 0", "max_iters negative", "tol 0", "tol negative"])
+def test_config_rejects_bad_iteration_limits(small_config, changes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(small_config, **changes)
+
+
+@pytest.mark.parametrize("times", [lambda tg: tg.times[:-1], lambda tg: 1.5 * tg.times],
+                         ids=["fewer times", "other times"])
+def test_picard_map_rejects_a_trajectory_on_another_time_grid(small_grid, small_config, times):
+    traj = Trajectory.zero(small_grid, times(small_config.time_grid))
+    with pytest.raises(ValueError, match="^trajectory is not defined on the configured time grid$"):
+        picard_map(traj, StateTuple.zero(small_grid), small_config)
+
+
+def test_picard_map_with_an_all_zero_force_is_the_map_without_one(monkeypatch):
+    import mildlab.solver as solver
+    grid = Grid(2, 16, 4.0)
+    config = _map_config(grid, 0.7, 0.0, nodes=8)
+    zero = dataclasses.replace(config, force=ForceField(VectorField.zero(grid), config.exps.N1))
+    data = gaussian_data(grid)
+    traj = picard_map(caloric_extension(data, 0.7, config.time_grid), data, config)
+    forces = []
+    store = solver._integrand_store
+    monkeypatch.setattr(solver, "_integrand_store",
+                        lambda traj, force, cell: forces.append(force) or store(traj, force, cell))
+    expected, mapped = picard_map(traj, data, config), picard_map(traj, data, zero)
+    # the zero force makes no L4 stack: the store is built as without a force
+    assert forces == [None, None]
+    for name in ("n", "c", "v", "u"):
+        assert np.array_equal(getattr(mapped, name), getattr(expected, name)), name
+
+
 def test_picard_map_checks_every_stored_velocity(small_grid, small_config):
     data = scale_data(gaussian_data(small_grid), 0.01)
     traj = caloric_extension(data, 0.0, small_config.time_grid)
@@ -467,7 +505,10 @@ def test_state_with_a_component_on_another_grid_is_rejected(name):
                                              time_grid=TimeGrid(0.1, 2.0, 3), quad_nodes=4.5)),
     ("max_iters", lambda grid: SolverConfig(exps=exponents_2d(), grid=grid,
                                             time_grid=TimeGrid(0.1, 2.0, 3), max_iters=2.5)),
-], ids=["grid", "time grid", "time grid inf", "sampling", "quad_nodes", "max_iters"])
+    ("node_count", lambda grid: QuadratureRule(0.1, 0.2, 4.5)),
+    ("N", lambda grid: dataclasses.replace(exponents_2d(), N=2.5)),
+], ids=["grid", "time grid", "time grid inf", "sampling", "quad_nodes", "max_iters",
+        "node_count", "N"])
 def test_sizes_must_be_whole_numbers(small_grid, name, make):
     with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got"):
         make(small_grid)
@@ -537,6 +578,12 @@ def test_trajectory_difference_rejects_another_grid(small_grid, small_config):
         Trajectory.zero(small_grid, times) - Trajectory.zero(other, times)
 
 
+def test_trajectory_difference_rejects_another_time_grid(small_grid, small_config):
+    times = small_config.time_grid.times
+    with pytest.raises(ValueError, match="^trajectories live on different time grids$"):
+        Trajectory.zero(small_grid, times) - Trajectory.zero(small_grid, 2.0 * times)
+
+
 def test_picard_solve_differences_in_place(monkeypatch):
     # the successive difference is formed in the old iterate's arrays, never
     # as a third trajectory, and its norm is the one x_next - x would give
@@ -554,7 +601,7 @@ def test_picard_solve_differences_in_place(monkeypatch):
 
     monkeypatch.setattr(Trajectory, "__sub__", refused)
     _, trace = picard_solve(data, config)
-    assert trace.as_dict() == expected.as_dict()
+    assert dataclasses.asdict(trace) == dataclasses.asdict(expected)
     assert trace.diffs[0] == first_diff
 
 

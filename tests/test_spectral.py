@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from mildlab.admissibility import ExponentSet
+from mildlab.duhamel import QuadratureRule
 from mildlab.grids import Grid, TimeGrid
 from mildlab.norms import BallSampling
 from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_heat_apply,
@@ -261,6 +263,16 @@ def test_trajectory_state_sees_the_stored_v_mean():
     assert np.shares_memory(traj.field("v", 1).coeffs, traj.v)
 
 
+def test_trajectory_state_reports_a_divergent_velocity():
+    grid = Grid(2, 16, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 2.0, 3).times)
+    traj.u[1, 0] = gaussian(grid, a=1.0).coeffs
+    defect = float(divergence_defects(grid, traj.u[1]))
+    assert defect > 1e-3
+    assert traj.state(0).validate() == []
+    assert traj.state(1).validate() == [f"u divergence defect {defect:.2e} exceeds 1e-10"]
+
+
 def test_time_grid_spanning_needs_two_times():
     with pytest.raises(ValueError, match="count must be at least 2, got 1"):
         TimeGrid.spanning(0.1, 1.0, 1)
@@ -289,10 +301,42 @@ def test_trajectory_rejects_a_wrong_shape(name):
     ("t0", lambda bad: TimeGrid(bad, 2.0, 4)),
     ("ratio", lambda bad: TimeGrid(0.1, bad, 4)),
     ("radii", lambda bad: BallSampling(1, [0.5, bad])),
-], ids=["L", "t0", "ratio", "radii"])
+    ("node_count", lambda bad: QuadratureRule(0.1, 0.2, bad)),
+    ("N", lambda bad: ExponentSet(N=bad, gamma=0.0, p=4, q=3, r=4, p1=3, q1=9 / 4, r1=3, N1=2)),
+], ids=["L", "t0", "ratio", "radii", "node_count", "N"])
 def test_non_finite_sizes_are_rejected(name, make, bad):
     with pytest.raises(ValueError, match=rf"^{name} must .* got .*{bad}"):
         make(bad)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda grid: Grid(1, 16, 4.0), r"dim must be 2 or 3, got 1"),
+    (lambda grid: Grid(4, 16, 4.0), r"dim must be 2 or 3, got 4"),
+    (lambda grid: Grid(2, 15, 4.0), r"points_per_axis must be even and >= 8, got 15"),
+    (lambda grid: Grid(2, 6, 4.0), r"points_per_axis must be even and >= 8, got 6"),
+    (lambda grid: TimeGrid.spanning(2.0, 1.0, 4), r"need 0 < t_min < t_max"),
+    (lambda grid: TimeGrid.spanning(0.0, 1.0, 4), r"need 0 < t_min < t_max"),
+    (lambda grid: SpectralField(grid, np.zeros((16, 16), dtype=complex)),
+     r"coefficient shape \(16, 16\) does not match \(16, 9\)"),
+    (lambda grid: VectorField(grid, np.zeros((16, 9), dtype=complex)),
+     r"coefficient shape \(16, 9\) does not match \(2, 16, 9\)"),
+    (lambda grid: SpectralField.from_physical(grid, np.zeros((16, 9))),
+     r"value shape \(16, 9\) does not match \(16, 16\)"),
+    (lambda grid: VectorField.from_physical(grid, np.zeros((16, 16))),
+     r"value shape \(16, 16\) does not match \(2, 16, 16\)"),
+    (lambda grid: VectorField.from_components([SpectralField.zero(grid)]),
+     r"expected 2 components, got 1"),
+    (lambda grid: VectorField.from_components([SpectralField.zero(grid)] * 3),
+     r"expected 2 components, got 3"),
+    (lambda grid: VectorField.from_components([SpectralField.zero(grid),
+                                               SpectralField.zero(Grid(2, 16, 8.0))]),
+     r"vector components live on different grids"),
+], ids=["dim 1", "dim 4", "odd m", "small m", "t_min above t_max", "t_min zero",
+        "scalar coeffs", "vector coeffs", "scalar values", "vector values", "one component",
+        "three components", "mixed grids"])
+def test_malformed_grids_and_fields_are_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make(Grid(2, 16, 4.0))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
