@@ -133,7 +133,9 @@ class TimeGrid:
         """Geometric grid from t_min to t_max inclusive."""
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
-        # a count below 2 is rejected by the constructor
+        # checked before the ratio is formed from it; a count below 2 is
+        # rejected by the constructor
+        count = whole_number("count", count)
         ratio = (t_max / t_min) ** (1.0 / max(count - 1, 1))
         return cls(t_min, ratio, count)
 

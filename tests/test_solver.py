@@ -406,7 +406,9 @@ def test_config_rejects_gamma_other_than_the_exponents(small_grid, small_config)
     (dict(max_iters=-2), "max_iters must be >= 1"),
     (dict(tol=0.0), "tol must be positive"),
     (dict(tol=-1e-8), "tol must be positive"),
-], ids=["max_iters 0", "max_iters negative", "tol 0", "tol negative"])
+    (dict(tol=math.nan), "tol must be finite, got nan"),
+    (dict(tol=math.inf), "tol must be finite, got inf"),
+], ids=["max_iters 0", "max_iters negative", "tol 0", "tol negative", "tol nan", "tol inf"])
 def test_config_rejects_bad_iteration_limits(small_config, changes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         dataclasses.replace(small_config, **changes)
@@ -559,7 +561,7 @@ def test_picard_solve_zero_data_converges_in_one(small_grid, small_config):
 def test_picard_solve_nan_iterate_diverges(small_grid, small_config, monkeypatch):
     import mildlab.solver as solver
 
-    def nan_map(traj, data, config):
+    def nan_map(traj, data, config, out=None):
         # a fixed point everywhere but one stored cell density, which blew up
         out = traj.copy()
         out.n[-1][(0,) * traj.grid.dim] = math.nan
@@ -603,6 +605,137 @@ def test_picard_solve_differences_in_place(monkeypatch):
     _, trace = picard_solve(data, config)
     assert dataclasses.asdict(trace) == dataclasses.asdict(expected)
     assert trace.diffs[0] == first_diff
+
+
+def _nan_like(traj):
+    """A trajectory on traj's grid and times with every entry NaN."""
+    out = Trajectory.zero(traj.grid, traj.times.copy())
+    for name in ("n", "c", "v", "u"):
+        getattr(out, name)[...] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("exps", [exponents_2d(0.7), exponents_3d()], ids=["2d-damped", "3d"])
+def test_map_and_caloric_extension_overwrite_every_entry_of_out(exps):
+    config, caloric, data = _forced_map_case(exps)
+    traj = picard_map(caloric, data, config)
+    for make in (lambda out=None: caloric_extension(data, exps.gamma, config.time_grid, out=out),
+                 lambda out=None: picard_map(traj, data, config, out=out)):
+        expected, out = make(), _nan_like(traj)
+        assert make(out) is out
+        for name in ("n", "c", "v", "u"):
+            assert getattr(out, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def _with(traj, **arrays):
+    """A trajectory on traj's grid and times: the given arrays, else zeros."""
+    zero = Trajectory.zero(traj.grid, traj.times)
+    return Trajectory(traj.grid, traj.times,
+                      *(arrays.get(name, getattr(zero, name)) for name in ("n", "c", "v", "u")))
+
+
+OUT_ON_ANOTHER_GRID_OR_LAYOUT = {
+    "other grid": (lambda traj: Trajectory.zero(Grid(2, 8, 8.0), traj.times),
+                   r"^out lives on Grid\(dim=2, m=8, L=8\.0\), not on the solver grid "
+                   r"Grid\(dim=2, m=8, L=4\.0\)$"),
+    "other times": (lambda traj: Trajectory.zero(traj.grid, 1.5 * traj.times),
+                    "^out is not defined on the configured time grid$"),
+    "fortran order": (lambda traj: _with(traj, c=np.asfortranarray(traj.c)),
+                      "^out must hold C-contiguous complex arrays"),
+    "real": (lambda traj: _with(traj, v=traj.v.real.copy()),
+             "^out must hold C-contiguous complex arrays"),
+}
+SHARED = "^out shares memory with an input, which is read while out is written$"
+OUT_SHARING_MEMORY = {
+    "out is traj": (lambda traj: traj, SHARED),
+    "out c views traj n": (lambda traj: _with(traj, c=traj.n.view()), SHARED),
+}
+
+
+@pytest.mark.parametrize("make_out, message",
+                         (OUT_ON_ANOTHER_GRID_OR_LAYOUT | OUT_SHARING_MEMORY).values(),
+                         ids=(OUT_ON_ANOTHER_GRID_OR_LAYOUT | OUT_SHARING_MEMORY).keys())
+def test_picard_map_rejects_an_out_it_cannot_write(make_out, message):
+    config, traj, data = _forced_map_case(exponents_2d())
+    with pytest.raises(ValueError, match=message):
+        picard_map(traj, data, config, out=make_out(traj))
+
+
+@pytest.mark.parametrize("make_out, message", OUT_ON_ANOTHER_GRID_OR_LAYOUT.values(),
+                         ids=OUT_ON_ANOTHER_GRID_OR_LAYOUT.keys())
+def test_caloric_extension_rejects_an_out_it_cannot_write(make_out, message):
+    config, traj, data = _forced_map_case(exponents_2d())
+    with pytest.raises(ValueError, match=message):
+        caloric_extension(data, 0.0, config.time_grid, out=make_out(traj))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda data, config, traj, out: caloric_extension(data, 0.0, config.time_grid, out=out),
+    lambda data, config, traj, out: picard_map(traj, data, config, out=out),
+], ids=["caloric_extension", "picard_map"])
+def test_out_may_not_hold_the_data(apply):
+    # data whose fields view out's first row would change as the rows are written
+    config, traj, data = _forced_map_case(exponents_2d())
+    out = traj.copy()
+    with pytest.raises(ValueError, match=SHARED):
+        apply(out.state(0), config, traj, out)
+
+
+def test_picard_solve_maps_into_two_trajectories(monkeypatch):
+    import mildlab.solver as solver
+    grid = Grid(2, 32, 8.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, time_grid=tg, quad_nodes=8,
+                          max_iters=3, tol=1e-12)
+    calls = []
+    picard_map = solver.picard_map
+
+    def spy(traj, data, config, out=None):
+        calls.append((traj, out, picard_map(traj, data, config, out=out)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(solver, "picard_map", spy)
+    final, trace = picard_solve(scale_data(gaussian_data(grid), 0.05), config)
+    assert trace.iterations == len(calls) == 3
+    # the caloric extension and the first map's new output
+    caloric, first_out, first = calls[0]
+    assert first_out is None and first is not caloric
+    pair = (caloric, first)
+    for traj, out, result in calls[1:]:
+        assert result is out and out is not traj
+        assert any(out is kept for kept in pair) and any(traj is kept for kept in pair)
+    assert any(final is kept for kept in pair)
+
+
+def test_picard_maps_after_the_first_allocate_less_than_a_trajectory(monkeypatch):
+    # every map's traced peak rises by its integrand store and temporaries,
+    # and only the first also by a new output trajectory
+    import tracemalloc
+    import mildlab.solver as solver
+    grid = Grid(3, 16, 4.0)
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+    config = SolverConfig(exps=exponents_3d(), grid=grid, time_grid=tg, quad_nodes=8,
+                          max_iters=4, tol=1e-300)
+    rises = []
+    picard_map = solver.picard_map
+
+    def traced(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = picard_map(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    monkeypatch.setattr(solver, "picard_map", traced)
+    tracemalloc.start()
+    try:
+        traj, trace = picard_solve(scale_data(gaussian_data(grid), 0.05), config)
+    finally:
+        tracemalloc.stop()
+    trajectory_bytes = sum(getattr(traj, name).nbytes for name in ("n", "c", "v", "u"))
+    assert trace.iterations == len(rises) == 4
+    assert rises[0] > trajectory_bytes
+    assert all(rise < trajectory_bytes for rise in rises[1:]), (rises, trajectory_bytes)
 
 
 def test_picard_solve_small_data_contracts(small_solve_2d):

@@ -303,7 +303,8 @@ def test_trajectory_rejects_a_wrong_shape(name):
     ("radii", lambda bad: BallSampling(1, [0.5, bad])),
     ("node_count", lambda bad: QuadratureRule(0.1, 0.2, bad)),
     ("N", lambda bad: ExponentSet(N=bad, gamma=0.0, p=4, q=3, r=4, p1=3, q1=9 / 4, r1=3, N1=2)),
-], ids=["L", "t0", "ratio", "radii", "node_count", "N"])
+    ("count", lambda bad: TimeGrid.spanning(1.0, 2.0, bad)),
+], ids=["L", "t0", "ratio", "radii", "node_count", "N", "spanning count"])
 def test_non_finite_sizes_are_rejected(name, make, bad):
     with pytest.raises(ValueError, match=rf"^{name} must .* got .*{bad}"):
         make(bad)
