@@ -35,29 +35,16 @@ def _require_grid(grid, **named):
             raise ValueError(f"{name} lives on {obj.grid!r}, not on the solver grid {grid!r}")
 
 
-def _require_times(time_grid, **named):
-    """Raise ValueError unless each named trajectory (None aside) is stored
-    at the times of ``time_grid``."""
-    times = time_grid.times
-    for name, traj in named.items():
-        if traj is not None and (len(traj) != len(times)
-                                 or not np.allclose(traj.times, times, rtol=1e-12)):
-            raise ValueError(f"{name} is not defined on the configured time grid")
-
-
-def _require_out(out, grid, time_grid, reads):
-    """Raise ValueError unless ``out`` can take an output trajectory in
-    place: C-contiguous complex arrays on ``grid`` at the times of
-    ``time_grid``, sharing no memory with the arrays ``reads``, which are
-    read while ``out`` is written."""
-    _require_grid(grid, out=out)
-    _require_times(time_grid, out=out)
-    arrays = [getattr(out, name) for name in "ncvu"]
-    if not all(a.dtype == complex and a.flags.c_contiguous for a in arrays):
-        raise ValueError("out must hold C-contiguous complex arrays, "
-                         "which are written through flat views")
-    if any(np.shares_memory(a, b) for a in arrays for b in reads):
-        raise ValueError("out shares memory with an input, which is read while out is written")
+def _require_stored(name, traj, grid, time_grid, reads=()):
+    """Raise ValueError unless trajectory ``traj`` lives on ``grid`` at the
+    times of ``time_grid`` and shares no memory with the arrays ``reads``,
+    which are read while it is written."""
+    _require_grid(grid, **{name: traj})
+    if not traj.stored_at(time_grid.times):
+        raise ValueError(f"{name} is not defined on the configured time grid")
+    if any(np.shares_memory(traj.array, b) for b in reads):
+        raise ValueError(f"{name} shares memory with an input, "
+                         f"which is read while {name} is written")
 
 
 @dataclass
@@ -141,8 +128,8 @@ def caloric_extension(data, gamma, time_grid, out=None):
     if out is None:
         out = Trajectory.zero(data.grid, time_grid.times.copy())
     else:
-        _require_out(out, data.grid, time_grid,
-                     [getattr(data, name).coeffs for name in "ncvu"])
+        _require_stored("out", out, data.grid, time_grid,
+                        [getattr(data, name).coeffs for name in out.ROWS])
     u0 = _solenoidal(data.u)
     v0 = SpectralField(data.grid, data.v.coeffs, pinned=True)
     for kk, t in enumerate(time_grid.times):
@@ -161,7 +148,8 @@ def _integrand_store(traj, force, cell_fluxes):
     as (T, [dim,] modes).  A product keeps the 2/3-dealiased modes (every
     other mode of a dealiased product is exactly zero), and the physical
     transforms are shared across tags.  L3 is the cell density itself, on
-    every mode (``modes`` is a full slice)."""
+    every mode (``modes`` is a full slice): its stack is a view of n's rows
+    of ``traj.flat()``, not a copy."""
     grid = traj.grid
     dim = grid.dim
     t_count = len(traj)
@@ -207,7 +195,7 @@ def _integrand_store(traj, force, cell_fluxes):
         if force is not None:
             project([-packed(n_phys * f_phys[j]) for j in range(dim)], store[("L4",)][kk])
     stacks = {tags: (keep, stack) for tags, stack in store.items()}
-    stacks[("L3",)] = (slice(None), traj.n.reshape(t_count, -1))
+    stacks[("L3",)] = (slice(None), traj.flat()[:, traj.ROWS["n"]])
     return stacks
 
 
@@ -239,20 +227,20 @@ def picard_map(traj, data, config, out=None):
     plus the seven bilinear and two linear Duhamel terms of the input
     trajectory.  The caloric rows from ``caloric_extension`` are written
     over every entry of ``out`` when one is given, else into a new
-    trajectory, and the Duhamel terms are added to them in place; either
-    way the output is returned.  ``out`` must live on the solver's grid and
-    time grid and share no memory with ``traj`` or the data, which are read
-    while or after the caloric rows are written (L3's stack is n itself);
-    ValueError otherwise.  Terms that share a rule of ``config.rules()``
-    and damping (gamma on v, else 0) share one weight matrix over (stored
-    time, heat shell) per output time, on the shells of the modes they
-    read; each stack contracts it at its modes' shells.
+    trajectory, and the Duhamel terms are added in place to its component's
+    ``ROWS`` of ``out.flat()``; either way the output is returned.  ``out``
+    must live on the solver's grid and time grid and share no memory with
+    ``traj`` or the data, which are read while or after the caloric rows are
+    written (L3's stack views ``traj.array``); ValueError otherwise.  Terms
+    that share a rule of ``config.rules()`` and damping (gamma on v, else 0)
+    share one weight matrix over (stored time, heat shell) per output time,
+    on the shells of the modes they read; each stack contracts it at its
+    modes' shells.
     """
-    _require_grid(config.grid, data=data, trajectory=traj)
-    _require_times(config.time_grid, trajectory=traj)
+    _require_grid(config.grid, data=data)
+    _require_stored("trajectory", traj, config.grid, config.time_grid)
     if out is not None:
-        _require_out(out, config.grid, config.time_grid,
-                     [getattr(traj, name) for name in "ncvu"])
+        _require_stored("out", out, config.grid, config.time_grid, [traj.array])
     grid = config.grid
     times = config.time_grid.times
     # one stored time at a time: no whole-trajectory temporaries
@@ -283,9 +271,7 @@ def picard_map(traj, data, config, out=None):
     columns = {tags: np.searchsorted(shells[group_of[tags]], k2[modes])
                for tags, (modes, _) in store.items()}
 
-    # (T, [dim,] modes) views of the output components
-    flat = {name: a.reshape(a.shape[:-grid.dim] + (-1,))
-            for name, a in (("n", out.n), ("c", out.c), ("v", out.v), ("u", out.u))}
+    flat = out.flat()
     for kk, t in enumerate(times):
         weights = {group: _duhamel_weights(t, *group, times, k2_shells)
                    for group, k2_shells in shells.items()}
@@ -297,7 +283,7 @@ def picard_map(traj, data, config, out=None):
             term = np.empty(part.shape[1:], dtype=complex)
             np.einsum("jm,j...m->...m", rows, part.real, out=term.real)
             np.einsum("jm,j...m->...m", rows, part.imag, out=term.imag)
-            flat[TERMS[tags[0]][1]][kk][..., modes] += term
+            flat[kk, out.ROWS[TERMS[tags[0]][1]]][..., modes] += term
     # the attractant is defined modulo constants: pin its zero mode
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out
@@ -324,8 +310,7 @@ def picard_solve(data, config, constants=None):
     for m in range(config.max_iters):
         x_next = picard_map(x, data, config, out=spent)
         # x_next - x overwrites x, which the next map overwrites in turn
-        for name in ("n", "c", "v", "u"):
-            np.subtract(getattr(x_next, name), getattr(x, name), out=getattr(x, name))
+        np.subtract(x_next.array, x.array, out=x.array)
         d_m = x_space_norms(x, config.exps, config.sampling).total
         norm_next = x_space_norms(x_next, config.exps, config.sampling).total
         trace.diffs.append(d_m)

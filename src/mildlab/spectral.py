@@ -2,13 +2,13 @@
 
 Fields are real-valued in physical space and stored as half-spectra
 (``rfftn`` coefficients): a scalar as one ``kshape`` array, a vector field
-as one ``(dim, *kshape)`` array, the layout of a stored trajectory's
-velocity.  Both classes are built by one constructor, ``cls(grid, coeffs)``,
-the only one that pins a zero mode.  Heat flow, damping, the gradient and
-the solenoidal (Leray-Helmholtz) projection are exact diagonal multipliers
-that broadcast over a vector's leading axis; products are formed in
-physical space and 2/3-dealiased (``grid.dealias_mask``) by the callers
-that need them.
+as one ``(dim, *kshape)`` array, the layout of a trajectory's rows
+(``state``).  Both classes are built by one constructor, ``cls(grid,
+coeffs)``, the only one that pins a zero mode.  Heat flow, damping, the
+gradient and the solenoidal (Leray-Helmholtz) projection are exact
+diagonal multipliers that broadcast over a vector's leading axis; products
+are formed in physical space and 2/3-dealiased (``grid.dealias_mask``) by
+the callers that need them.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """State tuples (n, c, v, u) and stored trajectories on geometric time grids.
 
-A trajectory stacks each component's coefficients over the stored times in
-the layout of ``spectral``: scalars as (T, *kshape), the velocity as
-(T, dim, *kshape), so a state's n, c and u are views of one row of them.
+A trajectory packs the coefficients of every stored state into one array
+of shape (T, 3 + N, *kshape), in the rows ``Trajectory.ROWS`` names, so its
+components, and a state's fields, are views of it.
 """
 
 import numpy as np
@@ -59,37 +59,53 @@ class StateTuple:
 
 
 class Trajectory:
-    """States stored at every point of a geometric time grid."""
+    """States stored at every point of a geometric time grid in ``array``;
+    n, c, v and u are views of the ``ROWS`` of its second axis."""
 
-    def __init__(self, grid, times, n, c, v, u):
+    ROWS = {"n": 0, "c": 1, "v": 2, "u": slice(3, None)}
+
+    def __init__(self, grid, times, array):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
+        if self.times.ndim != 1 or not np.isfinite(self.times).all():
+            raise ValueError("trajectory times must be 1-D and finite")
         if self.times.size == 0:
             raise ValueError("empty trajectory")
         if np.any(np.diff(self.times) <= 0) or np.any(self.times <= 0):
             raise ValueError("trajectory times must be positive and strictly increasing")
-        for name, array in zip("ncvu", (n, c, v, u)):
-            shape = (len(self.times),) + ((grid.dim,) if name == "u" else ()) + grid.kshape
-            if array.shape != shape:
-                raise ValueError(f"trajectory {name} has shape {array.shape}, not {shape}")
-            setattr(self, name, array)
+        shape = (len(self.times), 3 + grid.dim) + grid.kshape
+        if array.shape != shape:
+            raise ValueError(f"trajectory array has shape {array.shape}, not {shape}")
+        if array.dtype != complex or not array.flags.c_contiguous:
+            raise ValueError("trajectory array must be complex and C-contiguous")
+        self.array = array
+        for name, rows in self.ROWS.items():
+            setattr(self, name, array[:, rows])
 
     @classmethod
     def from_states(cls, states):
         if not states:
             raise ValueError("empty trajectory")
-        grid = states[0].grid
-        times = [s.t for s in states]
-        return cls(grid, times, *(np.stack([getattr(s, name).coeffs for s in states])
-                                  for name in ("n", "c", "v", "u")))
+        traj = cls.zero(states[0].grid, [s.t for s in states])
+        for name, rows in cls.ROWS.items():
+            traj.array[:, rows] = [getattr(s, name).coeffs for s in states]
+        return traj
 
     @classmethod
     def zero(cls, grid, times):
-        shapes = [(len(times),) + grid.kshape] * 3 + [(len(times), grid.dim) + grid.kshape]
-        return cls(grid, times, *(np.zeros(shape, dtype=complex) for shape in shapes))
+        shape = (np.size(times), 3 + grid.dim) + grid.kshape
+        return cls(grid, times, np.zeros(shape, dtype=complex))
 
     def __len__(self):
         return len(self.times)
+
+    def stored_at(self, times):
+        """Whether the states are stored at exactly ``times``."""
+        return np.array_equal(self.times, times)
+
+    def flat(self):
+        """``array`` as a (T, 3 + N, modes) view: each row's half-spectrum flattened."""
+        return self.array.reshape(self.array.shape[:2] + (-1,))
 
     def field(self, name, k):
         """Component ``name`` (n, c, v or u) at stored time k as a view of the
@@ -98,17 +114,15 @@ class Trajectory:
 
     def state(self, k):
         """The state at stored time k, its fields as ``field`` makes them."""
-        return StateTuple(self.times[k], *(self.field(name, k) for name in "ncvu"))
+        return StateTuple(self.times[k], *(self.field(name, k) for name in self.ROWS))
 
     def copy(self):
-        return Trajectory(self.grid, self.times.copy(), self.n.copy(), self.c.copy(),
-                          self.v.copy(), self.u.copy())
+        return Trajectory(self.grid, self.times.copy(), self.array.copy())
 
     def __sub__(self, other):
         if not self.grid.compatible(other.grid):
             raise ValueError(f"trajectories live on different grids: "
                              f"{self.grid!r} and {other.grid!r}")
-        if not np.array_equal(self.times, other.times):
+        if not self.stored_at(other.times):
             raise ValueError("trajectories live on different time grids")
-        return Trajectory(self.grid, self.times, self.n - other.n, self.c - other.c,
-                          self.v - other.v, self.u - other.u)
+        return Trajectory(self.grid, self.times, self.array - other.array)

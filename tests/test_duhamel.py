@@ -235,9 +235,12 @@ def caloric_setup():
     return traj, time_grid, force
 
 
-def scaled(traj, n=1.0, c=1.0, v=1.0, u=1.0):
-    """The trajectory with each component scaled by its factor."""
-    return Trajectory(traj.grid, traj.times, n * traj.n, c * traj.c, v * traj.v, u * traj.u)
+def scaled(traj, **factors):
+    """The trajectory with each named component (n, c, v or u) scaled by its factor."""
+    array = traj.array.copy()
+    for name, factor in factors.items():
+        array[:, traj.ROWS[name]] *= factor
+    return Trajectory(traj.grid, traj.times, array)
 
 
 def unpacked(grid, packed):
@@ -276,6 +279,15 @@ def test_bilinear_scaling_in_each_slot(caloric_setup):
     for slots in ({"n": lam}, {"u": lam, "c": lam, "v": lam}):
         stack = _integrand_store(scaled(traj, **slots), None, FUSED)[FUSED[0]][1]
         assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slots
+
+
+def test_l3_stack_is_a_view_of_the_trajectory(caloric_setup):
+    # a reshape of the strided n would copy the cell density at every map
+    traj, _, _ = caloric_setup
+    modes, stack = _integrand_store(traj, None, SPLIT)[("L3",)]
+    assert modes == slice(None)
+    assert np.shares_memory(stack, traj.array)
+    assert np.array_equal(stack, traj.n.reshape(len(traj), -1))
 
 
 def test_b444_divergence_free(caloric_setup):

@@ -13,7 +13,9 @@ definition, in the package, the tests or the benchmark harness, and a
 string constant may name C1..C7, C4_1..C5_2, alpha or beta only in
 ``admissibility.py`` (the operator table) and ``duhamel.py`` (the terms
 and the constants table).  No call ``int(x)`` of a bare name or an
-attribute truncates a size outside ``grids.whole_number``.  A last check
+attribute truncates a size outside ``grids.whole_number``, and only
+``state.py`` calls ``Trajectory(``, so the packed layout of a stored
+trajectory is built in one module.  A last check
 runs pytest under the repo's config, where warnings are errors, on a
 failing hypothesis test: the session must go on past it.
 """
@@ -188,6 +190,27 @@ def test_sizes_are_made_whole_only_by_whole_number(path):
     # every size goes through grids.whole_number, which rejects a fraction
     exempt = ("whole_number",) if path.name == "grids.py" else ()
     assert truncating_ints(path.read_text(), exempt) == [], path.name
+
+
+def trajectory_builds(source):
+    """Lines that call ``Trajectory`` by name or as an attribute: a
+    ``Trajectory.zero`` or ``copy`` is not a call of it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Trajectory"
+                 or getattr(node.func, "attr", None) == "Trajectory")]
+
+
+def test_check_flags_a_trajectory_build():
+    assert trajectory_builds("a = Trajectory(g, t, x)\nb = state.Trajectory(g, t, x)\n"
+                             "c = Trajectory.zero(g, t)\nd = a.copy()\n") == [1, 2]
+    assert trajectory_builds("def f(Trajectory):\n    return Trajectory\n") == []
+
+
+@pytest.mark.parametrize("path", [path for path in PACKAGE if path.name != "state.py"],
+                         ids=lambda p: p.name)
+def test_trajectories_are_built_only_in_state(path):
+    assert trajectory_builds(path.read_text()) == [], path.name
 
 
 def test_a_failing_hypothesis_test_ends_only_itself(tmp_path):

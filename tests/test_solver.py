@@ -99,8 +99,7 @@ def test_nonsolenoidal_data_warns_once_per_map_and_once_per_solve(small_grid, sm
 def test_picard_map_zero_everything(small_grid, small_config):
     zero_traj = Trajectory.zero(small_grid, small_config.time_grid.times)
     out = picard_map(zero_traj, StateTuple.zero(small_grid), small_config)
-    assert max(np.abs(out.n).max(), np.abs(out.c).max(),
-               np.abs(out.v).max(), np.abs(out.u).max()) == 0.0
+    assert np.abs(out.array).max() == 0.0
 
 
 def test_picard_map_zero_trajectory_returns_caloric(small_grid, small_config):
@@ -108,10 +107,7 @@ def test_picard_map_zero_trajectory_returns_caloric(small_grid, small_config):
     caloric = caloric_extension(data, 0.0, small_config.time_grid)
     zero_traj = Trajectory.zero(small_grid, small_config.time_grid.times)
     out = picard_map(zero_traj, data, small_config)
-    assert np.array_equal(out.n, caloric.n)
-    assert np.array_equal(out.c, caloric.c)
-    assert np.array_equal(out.v, caloric.v)
-    assert np.array_equal(out.u, caloric.u)
+    assert np.array_equal(out.array, caloric.array)
 
 
 def test_picard_map_matches_per_operator_path(small_grid):
@@ -422,6 +418,19 @@ def test_picard_map_rejects_a_trajectory_on_another_time_grid(small_grid, small_
         picard_map(traj, StateTuple.zero(small_grid), small_config)
 
 
+def test_picard_map_rejects_twice_the_times_of_a_tiny_box():
+    # on a 1e-5 box every stored time is below numpy's default allclose
+    # atol, so only exact equality tells the time grids apart
+    grid = Grid(2, 16, 1e-5)
+    time_grid = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 10)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, time_grid=time_grid)
+    doubled = Trajectory.zero(grid, 2.0 * time_grid.times)
+    with pytest.raises(ValueError, match="^trajectory is not defined on the configured time grid$"):
+        picard_map(doubled, StateTuple.zero(grid), config)
+    with pytest.raises(ValueError, match="^trajectories live on different time grids$"):
+        doubled - Trajectory.zero(grid, time_grid.times)
+
+
 def test_picard_map_with_an_all_zero_force_is_the_map_without_one(monkeypatch):
     import mildlab.solver as solver
     grid = Grid(2, 16, 4.0)
@@ -436,8 +445,7 @@ def test_picard_map_with_an_all_zero_force_is_the_map_without_one(monkeypatch):
     expected, mapped = picard_map(traj, data, config), picard_map(traj, data, zero)
     # the zero force makes no L4 stack: the store is built as without a force
     assert forces == [None, None]
-    for name in ("n", "c", "v", "u"):
-        assert np.array_equal(getattr(mapped, name), getattr(expected, name)), name
+    assert np.array_equal(mapped.array, expected.array)
 
 
 def test_picard_map_checks_every_stored_velocity(small_grid, small_config):
@@ -609,10 +617,7 @@ def test_picard_solve_differences_in_place(monkeypatch):
 
 def _nan_like(traj):
     """A trajectory on traj's grid and times with every entry NaN."""
-    out = Trajectory.zero(traj.grid, traj.times.copy())
-    for name in ("n", "c", "v", "u"):
-        getattr(out, name)[...] = math.nan
-    return out
+    return Trajectory(traj.grid, traj.times.copy(), np.full_like(traj.array, math.nan))
 
 
 @pytest.mark.parametrize("exps", [exponents_2d(0.7), exponents_3d()], ids=["2d-damped", "3d"])
@@ -623,15 +628,7 @@ def test_map_and_caloric_extension_overwrite_every_entry_of_out(exps):
                  lambda out=None: picard_map(traj, data, config, out=out)):
         expected, out = make(), _nan_like(traj)
         assert make(out) is out
-        for name in ("n", "c", "v", "u"):
-            assert getattr(out, name).tobytes() == getattr(expected, name).tobytes(), name
-
-
-def _with(traj, **arrays):
-    """A trajectory on traj's grid and times: the given arrays, else zeros."""
-    zero = Trajectory.zero(traj.grid, traj.times)
-    return Trajectory(traj.grid, traj.times,
-                      *(arrays.get(name, getattr(zero, name)) for name in ("n", "c", "v", "u")))
+        assert out.array.tobytes() == expected.array.tobytes()
 
 
 OUT_ON_ANOTHER_GRID_OR_LAYOUT = {
@@ -640,15 +637,19 @@ OUT_ON_ANOTHER_GRID_OR_LAYOUT = {
                    r"Grid\(dim=2, m=8, L=4\.0\)$"),
     "other times": (lambda traj: Trajectory.zero(traj.grid, 1.5 * traj.times),
                     "^out is not defined on the configured time grid$"),
-    "fortran order": (lambda traj: _with(traj, c=np.asfortranarray(traj.c)),
-                      "^out must hold C-contiguous complex arrays"),
-    "real": (lambda traj: _with(traj, v=traj.v.real.copy()),
-             "^out must hold C-contiguous complex arrays"),
+    # an out whose array the maps cannot write into is refused when it is
+    # built, so it never reaches them
+    "fortran order": (lambda traj: Trajectory(traj.grid, traj.times,
+                                              np.asfortranarray(traj.array)),
+                      "^trajectory array must be complex and C-contiguous"),
+    "real": (lambda traj: Trajectory(traj.grid, traj.times, traj.array.real.copy()),
+             "^trajectory array must be complex and C-contiguous"),
 }
 SHARED = "^out shares memory with an input, which is read while out is written$"
 OUT_SHARING_MEMORY = {
     "out is traj": (lambda traj: traj, SHARED),
-    "out c views traj n": (lambda traj: _with(traj, c=traj.n.view()), SHARED),
+    "out views traj array": (lambda traj: Trajectory(traj.grid, traj.times, traj.array.view()),
+                             SHARED),
 }
 
 
@@ -732,7 +733,7 @@ def test_picard_maps_after_the_first_allocate_less_than_a_trajectory(monkeypatch
         traj, trace = picard_solve(scale_data(gaussian_data(grid), 0.05), config)
     finally:
         tracemalloc.stop()
-    trajectory_bytes = sum(getattr(traj, name).nbytes for name in ("n", "c", "v", "u"))
+    trajectory_bytes = traj.array.nbytes
     assert trace.iterations == len(rises) == 4
     assert rises[0] > trajectory_bytes
     assert all(rise < trajectory_bytes for rise in rises[1:]), (rises, trajectory_bytes)

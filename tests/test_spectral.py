@@ -283,16 +283,60 @@ def test_overflowing_time_grid_is_rejected():
         TimeGrid(1.0, 1e300, 3)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trajectory_components_are_views_of_one_array(dim):
+    grid = Grid(dim, 8, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 2.0, 3).times)
+    assert traj.array.shape == (3, 3 + dim) + grid.kshape
+    for name in "ncvu":
+        assert np.shares_memory(getattr(traj, name), traj.array), name
+        # a component at one stored time is a transform input as it was
+        # when each component was its own array
+        assert all(getattr(traj, name)[k].flags.c_contiguous for k in range(len(traj))), name
+    mode = (2,) * dim
+    traj.array[(1, 0) + mode] = 1.0
+    traj.array[(1, 2 + dim) + mode] = 2.0
+    assert traj.n[(1,) + mode] == 1.0 and traj.u[(1, dim - 1) + mode] == 2.0
+
+
 @pytest.mark.parametrize("name", "ncvu")
 def test_trajectory_rejects_a_wrong_shape(name):
+    # the packed array with the rows of component ``name`` left out
     grid = Grid(2, 16, 4.0)
     good = Trajectory.zero(grid, [0.5, 1.0])
-    arrays = {key: getattr(good, key) for key in "ncvu"}
-    arrays[name] = np.zeros((2, 9, 9), dtype=complex)
-    expected = r"\(2, 2, 16, 9\)" if name == "u" else r"\(2, 16, 9\)"
-    with pytest.raises(ValueError, match=rf"trajectory {name} has shape \(2, 9, 9\), "
-                                         rf"not {expected}"):
-        Trajectory(grid, good.times, *arrays.values())
+    array = np.delete(good.array, np.arange(5)[Trajectory.ROWS[name]], axis=1)
+    rows = 3 if name == "u" else 4
+    with pytest.raises(ValueError, match=rf"^trajectory array has shape \(2, {rows}, 16, 9\), "
+                                         rf"not \(2, 5, 16, 9\)$"):
+        Trajectory(grid, good.times, array)
+
+
+GOOD_SHAPE = (2, 5, 16, 9)
+ARRAY_IT_CANNOT_HOLD = {
+    "a velocity row short": (np.zeros((2, 4, 16, 9), dtype=complex),
+                             r"^trajectory array has shape \(2, 4, 16, 9\), not \(2, 5, 16, 9\)$"),
+    "another grid": (np.zeros((2, 5, 8, 5), dtype=complex),
+                     r"^trajectory array has shape \(2, 5, 8, 5\), not \(2, 5, 16, 9\)$"),
+    "real": (np.zeros(GOOD_SHAPE), "^trajectory array must be complex and C-contiguous"),
+    "fortran order": (np.asfortranarray(np.zeros(GOOD_SHAPE, dtype=complex)),
+                      "^trajectory array must be complex and C-contiguous"),
+    "strided": (np.zeros((2, 10, 16, 9), dtype=complex)[:, ::2],
+                "^trajectory array must be complex and C-contiguous"),
+}
+
+
+@pytest.mark.parametrize("array, message", ARRAY_IT_CANNOT_HOLD.values(),
+                         ids=ARRAY_IT_CANNOT_HOLD.keys())
+def test_trajectory_rejects_an_array_it_cannot_hold(array, message):
+    with pytest.raises(ValueError, match=message):
+        Trajectory(Grid(2, 16, 4.0), [0.5, 1.0], array)
+
+
+@pytest.mark.parametrize("times", [[0.5, math.nan], [0.5, math.inf], [[0.5, 1.0]]],
+                         ids=["nan", "inf", "2-D"])
+def test_trajectory_rejects_times_that_are_not_1d_and_finite(times):
+    with pytest.raises(ValueError, match="^trajectory times must be 1-D and finite$"):
+        Trajectory.zero(Grid(2, 16, 4.0), times)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
