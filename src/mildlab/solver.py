@@ -3,13 +3,15 @@ integral map on stored trajectories, Picard iteration with a contraction
 trace, and the constant bookkeeping behind the smallness threshold.
 
 The map adds its nine integral terms, evaluated by the matched singular
-rules, in place to the caloric trajectory of ``caloric_extension``.
-Integrand spectra are formed once per stored time (with every
-lag-independent factor applied) on the 2/3-dealiased modes, the cell
-fluxes that share a rule as one.  The map is linear in them, through one
-weight matrix per output time for each group of terms that share rule
-exponents and damping, on the heat shells the group reads.  The constants
-are measured in one pass over the smoothing ensemble.
+rules, to the caloric row of each output time.  Integrand spectra are
+formed once per stored time (with every lag-independent factor applied)
+on the 2/3-dealiased modes, the cell fluxes that share a rule as one, and
+stored in column blocks of the output trajectory's own rows; the outputs
+are then written from the last time to the first, since each reads only
+the stored rows up to its own.  The map is linear in the integrands,
+through one weight matrix per output time for each group of terms that
+share rule exponents and damping, on the heat shells the group reads.
+The constants are measured in one pass over the smoothing ensemble.
 """
 
 import math
@@ -116,9 +118,29 @@ def _solenoidal(u0):
     return u0
 
 
+def _free_data(data):
+    """The data the caloric rows evolve: v with its zero mode pinned, and u
+    Leray-projected, with a warning, if it is not solenoidal."""
+    return StateTuple(data.t, data.n, data.c,
+                      SpectralField(data.v.grid, data.v.coeffs, pinned=True),
+                      _solenoidal(data.u))
+
+
+def _caloric_row(data, gamma, t, row):
+    """Write the free evolution at time t of ``data``, as ``_free_data``
+    makes it, into ``row``: one stored time's (3 + N, *kshape) block, in
+    ``Trajectory.ROWS`` order."""
+    rows = Trajectory.ROWS
+    row[rows["n"]] = heat_apply(data.n, t).coeffs
+    row[rows["c"]] = heat_apply(data.c, t).coeffs
+    row[rows["v"]] = damped_heat_apply(data.v, t, gamma).coeffs
+    row[rows["u"]] = heat_apply(data.u, t).coeffs
+
+
 def caloric_extension(data, gamma, time_grid, out=None):
     """Free evolution of the data at every stored time: the first Picard
-    iterate (e^{tL} n0, e^{tL} c0, e^{-gt} e^{tL} v0, e^{tL} u0).
+    iterate (e^{tL} n0, e^{tL} c0, e^{-gt} e^{tL} v0, e^{tL} u0), one
+    ``_caloric_row`` per stored time.
 
     It is written over every entry of ``out`` when one is given, which must
     live on the data's grid and ``time_grid`` and share no memory with the
@@ -130,38 +152,46 @@ def caloric_extension(data, gamma, time_grid, out=None):
     else:
         _require_stored("out", out, data.grid, time_grid,
                         [getattr(data, name).coeffs for name in out.ROWS])
-    u0 = _solenoidal(data.u)
-    v0 = SpectralField(data.grid, data.v.coeffs, pinned=True)
+    data = _free_data(data)
     for kk, t in enumerate(time_grid.times):
-        out.n[kk] = heat_apply(data.n, t).coeffs
-        out.c[kk] = heat_apply(data.c, t).coeffs
-        out.v[kk] = damped_heat_apply(v0, t, gamma).coeffs
-        out.u[kk] = heat_apply(u0, t).coeffs
+        _caloric_row(data, gamma, t, out.array[kk])
     return out
 
 
-def _integrand_store(traj, force, cell_fluxes):
+def _integrand_store(traj, force, cell_fluxes, buffer):
     """Contracted integrand spectra of every bilinear term, of L4 given a
     force, and of L3, as {tags: (modes, stack)} keyed by tuples of tags (a
     group of ``cell_fluxes`` sums its integrands).  ``modes`` indexes the
     flattened half-spectrum and ``stack`` holds those modes per stored time
     as (T, [dim,] modes).  A product keeps the 2/3-dealiased modes (every
     other mode of a dealiased product is exactly zero), and the physical
-    transforms are shared across tags.  L3 is the cell density itself, on
-    every mode (``modes`` is a full slice): its stack is a view of n's rows
-    of ``traj.flat()``, not a copy."""
+    transforms are shared across tags.  The product stacks are views of
+    consecutive column blocks of ``buffer``, a complex (T, width) array
+    whose row j takes stored time j's integrands (ValueError if it is too
+    narrow): ``picard_map`` passes its output's rows, which the widest
+    store, (6 + 2N) stacks of about (2/3)^N of the modes, fits.  L3 is the
+    cell density itself, on every mode (``modes`` is a full slice): its
+    stack is a view of n's rows of ``traj.flat()``, not a copy."""
     grid = traj.grid
     dim = grid.dim
     t_count = len(traj)
     keep = np.flatnonzero(grid.dealias_mask)
     k = [np.broadcast_to(ki, grid.kshape).reshape(-1)[keep] for ki in grid.k]
     inv_k2 = grid.inv_k2.reshape(-1)[keep]
-    store = {tags: np.empty((t_count, keep.size), dtype=complex)
-             for tags in cell_fluxes + (("B242",), ("B212",), ("B343",))}
-    store[("B444",)] = np.empty((t_count, dim, keep.size), dtype=complex)
+    shapes = {tags: () for tags in cell_fluxes + (("B242",), ("B212",), ("B343",))}
+    shapes[("B444",)] = (dim,)
     if force is not None:
-        store[("L4",)] = np.empty((t_count, dim, keep.size), dtype=complex)
+        shapes[("L4",)] = (dim,)
         f_phys = force.f.to_physical()
+    width = sum(math.prod(shape) for shape in shapes.values()) * keep.size
+    if buffer.shape[0] != t_count or buffer.shape[1] < width:
+        raise ValueError(f"integrand store needs a ({t_count}, >= {width}) buffer, "
+                         f"got {buffer.shape}")
+    store, start = {}, 0
+    for tags, shape in shapes.items():
+        stop = start + math.prod(shape) * keep.size
+        store[tags] = buffer[:, start:stop].reshape((t_count,) + shape + (keep.size,))
+        start = stop
 
     def packed(values):
         return grid.forward(values).reshape(-1)[keep]
@@ -225,24 +255,32 @@ def _duhamel_weights(t, rule, gamma, times, k2_shells):
 def picard_map(traj, data, config, out=None):
     """One application of the integral map: the free evolution of the data
     plus the seven bilinear and two linear Duhamel terms of the input
-    trajectory.  The caloric rows from ``caloric_extension`` are written
-    over every entry of ``out`` when one is given, else into a new
-    trajectory, and the Duhamel terms are added in place to its component's
-    ``ROWS`` of ``out.flat()``; either way the output is returned.  ``out``
-    must live on the solver's grid and time grid and share no memory with
-    ``traj`` or the data, which are read while or after the caloric rows are
-    written (L3's stack views ``traj.array``); ValueError otherwise.  Terms
-    that share a rule of ``config.rules()`` and damping (gamma on v, else 0)
-    share one weight matrix over (stored time, heat shell) per output time,
-    on the shells of the modes they read; each stack contracts it at its
-    modes' shells.
+    trajectory, written over every entry of ``out`` when one is given, else
+    into a new trajectory; either way the output is returned.  ``out`` must
+    live on the solver's grid and time grid and share no memory with
+    ``traj`` or the data, which are read while it is written (L3's stack
+    views ``traj.array``); ValueError otherwise.
+
+    The integrand store is written into ``out``'s rows first.  Then, from
+    the last output time to the first, each output's caloric row
+    (``_caloric_row``) and Duhamel terms are summed in one row buffer and
+    copied into its row of ``out``.  Every node of output k lies below t_k,
+    so it reads stored rows up to k only; at k = 0 the clamp below t_0
+    gives row 1 an exact zero weight, and the weights are cut to k + 1
+    rows.  Terms that share a rule of ``config.rules()`` and damping (gamma
+    on v, else 0) share one weight matrix over (stored time, heat shell)
+    per output time, on the shells of the modes they read; each stack
+    contracts it at its modes' shells.
     """
     _require_grid(config.grid, data=data)
     _require_stored("trajectory", traj, config.grid, config.time_grid)
-    if out is not None:
-        _require_stored("out", out, config.grid, config.time_grid, [traj.array])
     grid = config.grid
     times = config.time_grid.times
+    if out is None:
+        out = Trajectory.zero(grid, times.copy())
+    else:
+        _require_stored("out", out, grid, config.time_grid,
+                        [traj.array] + [getattr(data, name).coeffs for name in out.ROWS])
     # one stored time at a time: no whole-trajectory temporaries
     defect = np.max([divergence_defects(grid, u) for u in traj.u])
     if defect > 1e-8:
@@ -256,11 +294,9 @@ def picard_map(traj, data, config, out=None):
     cell = {}
     for tag in (tag for tag, (_, target) in TERMS.items() if target == "n"):
         cell[rules[tag]] = cell.get(rules[tag], ()) + (tag,)
-    # the caloric rows go in before the store is made: on a 32^3 solve, this
-    # order kept the peak RSS after the last map within 0.5 MB of its value
-    # after the first, and the other order 3 MB above it
-    out = caloric_extension(data, config.gamma, config.time_grid, out=out)
-    store = _integrand_store(traj, force, tuple(cell.values()))
+    data = _free_data(data)
+    store = _integrand_store(traj, force, tuple(cell.values()),
+                             out.array.reshape(len(times), -1))
     group_of = {tags: (rules[tags[0]], config.gamma if TERMS[tags[0]][1] == "v" else 0.0)
                 for tags in store}
     # a group's weights live on the shells of the modes its stacks read
@@ -271,10 +307,13 @@ def picard_map(traj, data, config, out=None):
     columns = {tags: np.searchsorted(shells[group_of[tags]], k2[modes])
                for tags, (modes, _) in store.items()}
 
-    flat = out.flat()
-    for kk, t in enumerate(times):
-        weights = {group: _duhamel_weights(t, *group, times, k2_shells)
+    row = np.empty(out.array.shape[1:], dtype=complex)
+    flat = row.reshape(row.shape[0], -1)
+    for kk in reversed(range(len(times))):
+        t = times[kk]
+        weights = {group: _duhamel_weights(t, *group, times, k2_shells)[:kk + 1]
                    for group, k2_shells in shells.items()}
+        _caloric_row(data, config.gamma, t, row)
         for tags, (modes, stack) in store.items():
             rows = weights[group_of[tags]][:, columns[tags]]
             # the weights are real: the real and imaginary parts contract apart,
@@ -283,7 +322,9 @@ def picard_map(traj, data, config, out=None):
             term = np.empty(part.shape[1:], dtype=complex)
             np.einsum("jm,j...m->...m", rows, part.real, out=term.real)
             np.einsum("jm,j...m->...m", rows, part.imag, out=term.imag)
-            flat[kk, out.ROWS[TERMS[tags[0]][1]]][..., modes] += term
+            flat[out.ROWS[TERMS[tags[0]][1]]][..., modes] += term
+        # stored row kk is read for the last time above
+        out.array[kk] = row
     # the attractant is defined modulo constants: pin its zero mode
     out.v[(slice(None),) + (0,) * grid.dim] = 0.0
     return out

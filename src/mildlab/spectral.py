@@ -62,11 +62,16 @@ class SpectralField:
     def _like(self, coeffs):
         return type(self)(self.grid, coeffs)
 
+    def _combined(self, other, op):
+        if not self.grid.compatible(other.grid):
+            raise ValueError(f"fields live on different grids: {self.grid!r} and {other.grid!r}")
+        return self._like(op(self.coeffs, other.coeffs))
+
     def __add__(self, other):
-        return self._like(self.coeffs + other.coeffs)
+        return self._combined(other, np.add)
 
     def __sub__(self, other):
-        return self._like(self.coeffs - other.coeffs)
+        return self._combined(other, np.subtract)
 
     def __mul__(self, scalar):
         return self._like(self.coeffs * scalar)

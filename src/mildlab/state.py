@@ -86,7 +86,12 @@ class Trajectory:
     def from_states(cls, states):
         if not states:
             raise ValueError("empty trajectory")
-        traj = cls.zero(states[0].grid, [s.t for s in states])
+        grid = states[0].grid
+        for index, state in enumerate(states[1:], start=1):
+            if not grid.compatible(state.grid):
+                raise ValueError(f"state {index} lives on {state.grid!r}, "
+                                 f"not on state 0's grid {grid!r}")
+        traj = cls.zero(grid, [s.t for s in states])
         for name, rows in cls.ROWS.items():
             traj.array[:, rows] = [getattr(s, name).coeffs for s in states]
         return traj

@@ -255,6 +255,17 @@ SPLIT = (("B141",), ("B112",), ("B113",))
 FUSED = (("B141", "B112", "B113"),)
 
 
+def rows_like(traj):
+    """A buffer with the rows of a trajectory like ``traj``, as ``picard_map``
+    lends its output's to the integrand store."""
+    return Trajectory.zero(traj.grid, traj.times).array.reshape(len(traj), -1)
+
+
+def store_of(traj, force, cell_fluxes):
+    """The integrand store of ``traj``, in a buffer of its own."""
+    return _integrand_store(traj, force, cell_fluxes, rows_like(traj))
+
+
 def _map_config(time_grid, grid, gamma=0.0, force=None):
     return SolverConfig(exps=exponents_2d(gamma), grid=grid, time_grid=time_grid, gamma=gamma,
                         quad_nodes=16, force=force)
@@ -263,8 +274,8 @@ def _map_config(time_grid, grid, gamma=0.0, force=None):
 def test_bilinear_zero_argument_gives_zero(caloric_setup):
     traj, _, force = caloric_setup
     tags = ("B141", "B112", "B113", "B212", "L3", "L4")
-    full = _integrand_store(traj, force, SPLIT)
-    store = _integrand_store(scaled(traj, n=0.0), force, SPLIT)
+    full = store_of(traj, force, SPLIT)
+    store = store_of(scaled(traj, n=0.0), force, SPLIT)
     for tag in tags:
         assert np.abs(full[(tag,)][1]).max() > 0, tag
         assert np.abs(store[(tag,)][1]).max() == 0.0, tag
@@ -275,16 +286,16 @@ def test_bilinear_scaling_in_each_slot(caloric_setup):
     # (u, c, v) jointly
     traj, _, _ = caloric_setup
     lam = 3.0
-    base = _integrand_store(traj, None, FUSED)[FUSED[0]][1]
+    base = store_of(traj, None, FUSED)[FUSED[0]][1]
     for slots in ({"n": lam}, {"u": lam, "c": lam, "v": lam}):
-        stack = _integrand_store(scaled(traj, **slots), None, FUSED)[FUSED[0]][1]
+        stack = store_of(scaled(traj, **slots), None, FUSED)[FUSED[0]][1]
         assert np.abs(stack - lam * base).max() <= 1e-12 * np.abs(lam * base).max(), slots
 
 
 def test_l3_stack_is_a_view_of_the_trajectory(caloric_setup):
     # a reshape of the strided n would copy the cell density at every map
     traj, _, _ = caloric_setup
-    modes, stack = _integrand_store(traj, None, SPLIT)[("L3",)]
+    modes, stack = store_of(traj, None, SPLIT)[("L3",)]
     assert modes == slice(None)
     assert np.shares_memory(stack, traj.array)
     assert np.array_equal(stack, traj.n.reshape(len(traj), -1))
@@ -292,9 +303,57 @@ def test_l3_stack_is_a_view_of_the_trajectory(caloric_setup):
 
 def test_b444_divergence_free(caloric_setup):
     traj, _, _ = caloric_setup
-    stack = unpacked(traj.grid, _integrand_store(traj, None, SPLIT)[("B444",)][1])
+    stack = unpacked(traj.grid, store_of(traj, None, SPLIT)[("B444",)][1])
     assert np.abs(stack).max() > 0
     assert divergence_defects(traj.grid, stack).max() < 1e-12
+
+
+def test_store_stacks_are_disjoint_column_blocks_of_the_buffer(caloric_setup):
+    traj, _, force = caloric_setup
+    buffer = rows_like(traj)
+    store = _integrand_store(traj, force, SPLIT, buffer)
+    products = [stack for tags, (_, stack) in store.items() if tags != ("L3",)]
+    # three cell fluxes, B242, B212, B343, and the vectors B444 and L4
+    assert len(products) == 8
+    for i, stack in enumerate(products):
+        assert np.shares_memory(stack, buffer)
+        assert not any(np.shares_memory(stack, other) for other in products[i + 1:])
+    # stored time j's integrands sit in row j
+    first = products[0]
+    assert np.array_equal(first[3], buffer[3, :first.shape[-1]])
+    narrow = buffer[:, :sum(stack[0].size for stack in products) - 1]
+    with pytest.raises(ValueError, match=r"^integrand store needs a \(16, >= \d+\) buffer, "
+                                         r"got \(16, \d+\)$"):
+        _integrand_store(traj, force, SPLIT, narrow)
+
+
+@pytest.mark.parametrize("dim, sizes", [(2, range(8, 129, 2)), (3, range(8, 65, 2))])
+def test_the_widest_store_fits_in_a_trajectory_row(dim, sizes):
+    # every cell flux apart, B242, B212, B343, and the vectors B444 and L4,
+    # on the dealiased modes, against the 3 + N fields of a stored time
+    for m in sizes:
+        mask = Grid(dim, m, 1.0).dealias_mask
+        assert (3 + 3 + 2 * dim) * np.count_nonzero(mask) <= (3 + dim) * mask.size, m
+
+
+@pytest.mark.parametrize("exps", [exponents_2d(), exponents_2d(0.7), exponents_3d(),
+                                  exponents_3d(0.7)],
+                         ids=["2d", "2d-damped", "3d", "3d-damped"])
+def test_weights_of_an_output_time_read_no_later_stored_time(exps):
+    # picard_map overwrites stored row k with output k, last to first: the
+    # weights of output k must vanish on every row past k
+    grid = Grid(exps.N, 8, 4.0)
+    time_grid = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+    times = time_grid.times
+    k2_shells = np.unique(grid.k2)
+    for nodes in (4, 24, 32):
+        config = SolverConfig(exps=exps, grid=grid, time_grid=time_grid, gamma=exps.gamma,
+                              quad_nodes=nodes)
+        for rule in set(config.rules().values()):
+            for gamma in {0.0, exps.gamma}:
+                for k, t in enumerate(times):
+                    rows = _duhamel_weights(t, rule, gamma, times, k2_shells)
+                    assert not rows[k + 1:].any(), (nodes, rule.a, rule.b, gamma, k)
 
 
 def test_linear_terms(caloric_setup):

@@ -186,19 +186,22 @@ def _map_config(grid, gamma, force_amplitude, nodes):
                         quad_nodes=nodes, force=force)
 
 
-@pytest.mark.parametrize("dim, m, gamma, force_amplitude", [
-    (2, 32, 0.7, 0.5),
-    (2, 32, 0.7, 0.0),
-    (3, 16, 0.0, 0.5),
+@pytest.mark.parametrize("dim, m, gamma, force_amplitude, nan_out", [
+    pytest.param(2, 32, 0.7, 0.5, False, id="2-32-0.7-0.5"),
+    pytest.param(2, 32, 0.7, 0.0, False, id="2-32-0.7-0.0"),
+    pytest.param(3, 16, 0.0, 0.5, False, id="3-16-0.0-0.5"),
+    # the store lives in out's rows: a row read after its output overwrote
+    # it would carry NaN into the map, which the reference never reads
+    pytest.param(3, 16, 0.0, 0.5, True, id="3-16-0.0-0.5-nan-out"),
 ])
-def test_picard_map_matches_per_node_reference(dim, m, gamma, force_amplitude):
+def test_picard_map_matches_per_node_reference(dim, m, gamma, force_amplitude, nan_out):
     grid = Grid(dim, m, 4.0)
     config = _map_config(grid, gamma, force_amplitude, nodes=12)
     data = gaussian_data(grid)
     # a generic (non-caloric) input: the caloric extension mapped once
     traj = picard_map(caloric_extension(data, gamma, config.time_grid), data, config)
     caloric = caloric_extension(data, gamma, config.time_grid)
-    mapped = picard_map(traj, data, config)
+    mapped = picard_map(traj, data, config, out=_nan_like(traj) if nan_out else None)
     expected = reference_picard_map(traj, data, config)
     for name in ("n", "c", "v", "u"):
         # compare the Duhamel part alone, so the caloric rows cannot mask it
@@ -441,7 +444,8 @@ def test_picard_map_with_an_all_zero_force_is_the_map_without_one(monkeypatch):
     forces = []
     store = solver._integrand_store
     monkeypatch.setattr(solver, "_integrand_store",
-                        lambda traj, force, cell: forces.append(force) or store(traj, force, cell))
+                        lambda traj, force, cell, buffer:
+                        forces.append(force) or store(traj, force, cell, buffer))
     expected, mapped = picard_map(traj, data, config), picard_map(traj, data, zero)
     # the zero force makes no L4 stack: the store is built as without a force
     assert forces == [None, None]
@@ -708,17 +712,19 @@ def test_picard_solve_maps_into_two_trajectories(monkeypatch):
     assert any(final is kept for kept in pair)
 
 
-def test_picard_maps_after_the_first_allocate_less_than_a_trajectory(monkeypatch):
-    # every map's traced peak rises by its integrand store and temporaries,
-    # and only the first also by a new output trajectory
+def _traced_maps_3d(monkeypatch):
+    """A 4-map solve on 16^3 with 12 stored times, with each map's rise of
+    the traced peak over the memory traced at its start, and the bytes of
+    each map's product stacks (L3's view of n aside); returns the rises,
+    the stack bytes and the solve's trajectory."""
     import tracemalloc
     import mildlab.solver as solver
     grid = Grid(3, 16, 4.0)
     tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
     config = SolverConfig(exps=exponents_3d(), grid=grid, time_grid=tg, quad_nodes=8,
                           max_iters=4, tol=1e-300)
-    rises = []
-    picard_map = solver.picard_map
+    rises, store_bytes = [], []
+    picard_map, store = solver.picard_map, solver._integrand_store
 
     def traced(*args, **kwargs):
         start = tracemalloc.get_traced_memory()[0]
@@ -727,16 +733,53 @@ def test_picard_maps_after_the_first_allocate_less_than_a_trajectory(monkeypatch
         rises.append(tracemalloc.get_traced_memory()[1] - start)
         return result
 
+    def measured(*args):
+        stacks = store(*args)
+        store_bytes.append(sum(stack.nbytes for tags, (_, stack) in stacks.items()
+                               if tags != ("L3",)))
+        return stacks
+
     monkeypatch.setattr(solver, "picard_map", traced)
+    monkeypatch.setattr(solver, "_integrand_store", measured)
     tracemalloc.start()
     try:
         traj, trace = picard_solve(scale_data(gaussian_data(grid), 0.05), config)
     finally:
         tracemalloc.stop()
+    assert trace.iterations == len(rises) == len(store_bytes) == 4
+    return rises, store_bytes, traj
+
+
+def test_picard_maps_after_the_first_allocate_less_than_a_trajectory(monkeypatch):
+    # only the first map allocates its output trajectory
+    rises, _, traj = _traced_maps_3d(monkeypatch)
     trajectory_bytes = traj.array.nbytes
-    assert trace.iterations == len(rises) == 4
     assert rises[0] > trajectory_bytes
     assert all(rise < trajectory_bytes for rise in rises[1:]), (rises, trajectory_bytes)
+
+
+def test_picard_maps_after_the_first_allocate_less_than_their_integrand_store(monkeypatch):
+    # the store is written into the output's rows, so no map allocates one;
+    # a map's rise is the row buffer, the weights and the per-time
+    # temporaries (837-839 KB against a 953 KB store, measured)
+    rises, store_bytes, _ = _traced_maps_3d(monkeypatch)
+    assert all(rise < size for rise, size in zip(rises[1:], store_bytes[1:])), \
+        (rises, store_bytes)
+
+
+def test_picard_map_output_reads_no_later_stored_time():
+    # output k integrates over tau < t_k: a stored state past k, even a NaN
+    # one, leaves it bitwise unchanged (the clamp below t_0 weighs row 1 by
+    # an exact zero at k = 0, a weight the map does not apply)
+    config, caloric, data = _forced_map_case(exponents_3d())
+    traj = picard_map(caloric, data, config)
+    expected = picard_map(traj, data, config)
+    for j in (1, 3):
+        spoiled = traj.copy()
+        spoiled.n[j] = math.nan
+        mapped = picard_map(spoiled, data, config)
+        assert mapped.array[:j].tobytes() == expected.array[:j].tobytes(), j
+        assert np.isnan(mapped.n[j]).any(), j
 
 
 def test_picard_solve_small_data_contracts(small_solve_2d):

@@ -16,7 +16,7 @@ from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_hea
                               divergence_defects)
 from mildlab.fields import (gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited,
                             bump)
-from mildlab.state import Trajectory
+from mildlab.state import StateTuple, Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +337,34 @@ def test_trajectory_rejects_an_array_it_cannot_hold(array, message):
 def test_trajectory_rejects_times_that_are_not_1d_and_finite(times):
     with pytest.raises(ValueError, match="^trajectory times must be 1-D and finite$"):
         Trajectory.zero(Grid(2, 16, 4.0), times)
+
+
+def test_trajectory_from_states_checks_every_state_grid():
+    # same shape, another box: only the grid's repr tells them apart
+    states = [StateTuple.zero(Grid(2, 16, 4.0), t=t) for t in (0.5, 1.0, 2.0)]
+    states[2] = StateTuple.zero(Grid(2, 16, 8.0), t=2.0)
+    with pytest.raises(ValueError, match=r"^state 2 lives on Grid\(dim=2, m=16, L=8\.0\), "
+                                         r"not on state 0's grid Grid\(dim=2, m=16, L=4\.0\)$"):
+        Trajectory.from_states(states)
+
+
+ACROSS_GRIDS = {
+    "scalar add": lambda a, b: SpectralField.zero(a) + SpectralField.zero(b),
+    "scalar sub": lambda a, b: SpectralField.zero(a) - SpectralField.zero(b),
+    "vector add": lambda a, b: VectorField.zero(a) + VectorField.zero(b),
+    "vector sub": lambda a, b: VectorField.zero(a) - VectorField.zero(b),
+    "state sub": lambda a, b: StateTuple.zero(a) - StateTuple.zero(b),
+}
+
+
+@pytest.mark.parametrize("combine", ACROSS_GRIDS.values(), ids=ACROSS_GRIDS.keys())
+def test_arithmetic_across_grids_is_rejected(combine):
+    grid, other = Grid(2, 16, 4.0), Grid(2, 16, 8.0)
+    with pytest.raises(ValueError, match=r"^fields live on different grids: "
+                                         r"Grid\(dim=2, m=16, L=4\.0\) and "
+                                         r"Grid\(dim=2, m=16, L=8\.0\)$"):
+        combine(grid, other)
+    assert combine(grid, grid).grid is grid
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
