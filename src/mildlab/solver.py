@@ -2,16 +2,16 @@
 integral map on stored trajectories, Picard iteration with a contraction
 trace, and the constant bookkeeping behind the smallness threshold.
 
-The map adds its nine integral terms, evaluated by the matched singular
-rules, to the caloric row of each output time.  Integrand spectra are
-formed once per stored time (with every lag-independent factor applied)
-on the 2/3-dealiased modes, the cell fluxes that share a rule as one, and
-stored in column blocks of the output trajectory's own rows; the outputs
-are then written from the last time to the first, since each reads only
-the stored rows up to its own.  The map is linear in the integrands,
-through one weight matrix per output time for each group of terms that
-share rule exponents and damping, on the heat shells the group reads.
-The constants are measured in one pass over the smoothing ensemble.
+Data are prepared in ``_free_data`` alone, once per entry point, so the
+datum ``smallness_check`` norms is the one ``picard_solve`` evolves; v's
+zero mode is written in ``_pin_attractant`` alone.  The map adds its nine
+Duhamel terms, by the matched singular rules, to each output's caloric
+row.  Integrand spectra are formed once per stored time, on the
+2/3-dealiased modes, into column blocks of the output's own rows, which
+are then written from the last time to the first; one weight matrix per
+output time serves each group of terms that share rule exponents and
+damping, on the heat shells the group reads.  The constants are measured
+in one pass over the smoothing ensemble.
 """
 
 import math
@@ -22,8 +22,7 @@ import numpy as np
 
 from .grids import Grid, TimeGrid, whole_number
 from .state import StateTuple, Trajectory
-from .spectral import SpectralField, heat_apply, damped_heat_apply, leray_project, \
-    divergence_defects
+from .spectral import heat_apply, damped_heat_apply, leray_project, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
 from .duhamel import QuadratureRule, rule_exponents, constant_bound, ConstantsTable, \
     ForceField, ALL_TAGS, TERMS
@@ -109,27 +108,25 @@ class IterationTrace:
     constants: ConstantsTable = None
 
 
-def _solenoidal(u0):
-    """The data velocity, Leray-projected with a warning if it is not solenoidal."""
-    defect = float(divergence_defects(u0.grid, u0.coeffs))
+def _free_data(data):
+    """The datum the solver norms and evolves: ``data`` itself if u is
+    solenoidal, else, with a warning, ``data`` with u Leray-projected."""
+    defect = float(divergence_defects(data.grid, data.u.coeffs))
     if defect > 1e-10:
         warnings.warn(f"initial velocity has divergence defect {defect:.2e}; projecting")
-        return leray_project(u0)
-    return u0
+        return StateTuple(data.t, data.n, data.c, data.v, leray_project(data.u))
+    return data
 
 
-def _free_data(data):
-    """The data the caloric rows evolve: v with its zero mode pinned, and u
-    Leray-projected, with a warning, if it is not solenoidal."""
-    return StateTuple(data.t, data.n, data.c,
-                      SpectralField(data.v.grid, data.v.coeffs, pinned=True),
-                      _solenoidal(data.u))
+def _pin_attractant(traj):
+    """Zero v's mode 0 at every stored time: v is defined modulo constants."""
+    traj.v[(slice(None),) + (0,) * traj.grid.dim] = 0.0
 
 
 def _caloric_row(data, gamma, t, row):
     """Write the free evolution at time t of ``data``, as ``_free_data``
     makes it, into ``row``: one stored time's (3 + N, *kshape) block, in
-    ``Trajectory.ROWS`` order."""
+    ``Trajectory.ROWS`` order, v's zero mode not yet pinned."""
     rows = Trajectory.ROWS
     row[rows["n"]] = heat_apply(data.n, t).coeffs
     row[rows["c"]] = heat_apply(data.c, t).coeffs
@@ -137,24 +134,16 @@ def _caloric_row(data, gamma, t, row):
     row[rows["u"]] = heat_apply(data.u, t).coeffs
 
 
-def caloric_extension(data, gamma, time_grid, out=None):
-    """Free evolution of the data at every stored time: the first Picard
-    iterate (e^{tL} n0, e^{tL} c0, e^{-gt} e^{tL} v0, e^{tL} u0), one
-    ``_caloric_row`` per stored time.
-
-    It is written over every entry of ``out`` when one is given, which must
-    live on the data's grid and ``time_grid`` and share no memory with the
-    data (ValueError otherwise), and into a new trajectory when not; either
-    way the trajectory is returned.
-    """
-    if out is None:
-        out = Trajectory.zero(data.grid, time_grid.times.copy())
-    else:
-        _require_stored("out", out, data.grid, time_grid,
-                        [getattr(data, name).coeffs for name in out.ROWS])
+def caloric_extension(data, gamma, time_grid):
+    """Free evolution of the data, as ``_free_data`` prepares it, at every
+    stored time: the first Picard iterate (e^{tL} n0, e^{tL} c0,
+    e^{-gt} e^{tL} v0, e^{tL} u0) in a new trajectory, one ``_caloric_row``
+    per stored time, with v's zero mode pinned to 0."""
     data = _free_data(data)
+    out = Trajectory.zero(data.grid, time_grid.times.copy())
     for kk, t in enumerate(time_grid.times):
         _caloric_row(data, gamma, t, out.array[kk])
+    _pin_attractant(out)
     return out
 
 
@@ -254,23 +243,25 @@ def _duhamel_weights(t, rule, gamma, times, k2_shells):
 
 def picard_map(traj, data, config, out=None):
     """One application of the integral map: the free evolution of the data
-    plus the seven bilinear and two linear Duhamel terms of the input
-    trajectory, written over every entry of ``out`` when one is given, else
-    into a new trajectory; either way the output is returned.  ``out`` must
-    live on the solver's grid and time grid and share no memory with
-    ``traj`` or the data, which are read while it is written (L3's stack
-    views ``traj.array``); ValueError otherwise.
+    (``_free_data``) plus the seven bilinear and two linear Duhamel terms of
+    the input trajectory, written over every entry of ``out`` when one is
+    given, else into a new trajectory; either way the output is returned.
+    ``out`` must live on the solver's grid and time grid and share no
+    memory with ``traj`` or the data, which are read while it is written
+    (L3's stack views ``traj.array``), and every stored velocity must have
+    a divergence defect <= 1e-8 (NaN fails); ValueError otherwise.
 
     The integrand store is written into ``out``'s rows first.  Then, from
     the last output time to the first, each output's caloric row
     (``_caloric_row``) and Duhamel terms are summed in one row buffer and
-    copied into its row of ``out``.  Every node of output k lies below t_k,
-    so it reads stored rows up to k only; at k = 0 the clamp below t_0
-    gives row 1 an exact zero weight, and the weights are cut to k + 1
-    rows.  Terms that share a rule of ``config.rules()`` and damping (gamma
-    on v, else 0) share one weight matrix over (stored time, heat shell)
-    per output time, on the shells of the modes they read; each stack
-    contracts it at its modes' shells.
+    copied into its row of ``out``; v's zero mode is pinned once all rows
+    are written.  Every node of output k lies below t_k, so it reads
+    stored rows up to k only; at k = 0 the clamp below t_0 gives row 1 an
+    exact zero weight, and the weights are cut to k + 1 rows.  Terms that
+    share a rule of ``config.rules()`` and damping (gamma on v, else 0)
+    share one weight matrix over (stored time, heat shell) per output
+    time, on the shells of the modes they read; each stack contracts it at
+    its modes' shells.
     """
     _require_grid(config.grid, data=data)
     _require_stored("trajectory", traj, config.grid, config.time_grid)
@@ -283,7 +274,7 @@ def picard_map(traj, data, config, out=None):
                         [traj.array] + [getattr(data, name).coeffs for name in out.ROWS])
     # one stored time at a time: no whole-trajectory temporaries
     defect = np.max([divergence_defects(grid, u) for u in traj.u])
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise ValueError(f"velocity along the trajectory is not solenoidal "
                          f"(defect {defect:.2e})")
     force = config.force
@@ -325,14 +316,15 @@ def picard_map(traj, data, config, out=None):
             flat[out.ROWS[TERMS[tags[0]][1]]][..., modes] += term
         # stored row kk is read for the last time above
         out.array[kk] = row
-    # the attractant is defined modulo constants: pin its zero mode
-    out.v[(slice(None),) + (0,) * grid.dim] = 0.0
+    _pin_attractant(out)
     return out
 
 
 def picard_solve(data, config, constants=None):
     """Iterate x_(m+1) = caloric + B(x_m) from the caloric extension until
-    the successive difference falls below tol, recording the trace.
+    the successive difference falls below tol, recording the trace.  The
+    data are prepared once, by ``_free_data``, and the caloric extension
+    and every map evolve that datum.
 
     The solve holds two trajectories throughout.  x_next - x is formed in
     x's arrays, and once both of its norms are taken, the next map writes
@@ -343,8 +335,7 @@ def picard_solve(data, config, constants=None):
     """
     _require_grid(config.grid, data=data)
     trace = IterationTrace(constants=constants)
-    # project the data velocity once, so the maps' caloric rows do not warn again
-    data = StateTuple(data.t, data.n, data.c, data.v, _solenoidal(data.u))
+    data = _free_data(data)
     x = caloric_extension(data, config.gamma, config.time_grid)
     trace.x_norms.append(x_space_norms(x, config.exps, config.sampling).total)
     spent = None
@@ -398,8 +389,11 @@ def measured_constants(config, n_fields=None):
 def smallness_check(data, config, n_fields=None):
     """Assemble the constants table: measured C1..C7, alpha, beta, the
     contraction numbers K1/K2, epsilon = 1/(8 K1 K2), the measured caloric
-    extension constant C0, delta = epsilon/C0, and the data verdict."""
+    extension constant C0, delta = epsilon/C0, and the data verdict.  The
+    data are prepared once, by ``_free_data``, so the data norm, C0 and
+    the verdict are those of the datum ``picard_solve`` evolves."""
     _require_grid(config.grid, data=data)
+    data = _free_data(data)
     consts = measured_constants(config, n_fields=n_fields)
     norm_data = data_norm_I(data, config.exps, time_grid=config.time_grid,
                             sampling=config.sampling)

@@ -141,11 +141,12 @@ def _dot_k(grid, coeffs):
 
 def divergence_defects(grid, u):
     """max |xi . u_hat| relative to max |u_hat| for every field of a
-    (..., dim, *kshape) coefficient stack; 0 for a zero field."""
+    (..., dim, *kshape) coefficient stack; 0 for a zero field, NaN for one
+    with a non-finite coefficient."""
     spatial = tuple(range(-grid.dim, 0))
     scale = np.sqrt(grid.k2.max()) * np.abs(u).max(axis=(-grid.dim - 1,) + spatial)
     num = np.abs(_dot_k(grid, u)).max(axis=spatial)
-    return np.divide(num, scale, out=np.zeros_like(num), where=scale > 0)
+    return np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
 
 
 def leray_project(vfield):

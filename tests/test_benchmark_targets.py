@@ -1,5 +1,8 @@
-"""The benchmark's wrap points: every layer that ``perfbench/tracing.py``
-wraps must still resolve to a callable, or a traced run silently loses it."""
+"""The benchmark's wrap points and workloads: every layer that
+``perfbench/tracing.py`` wraps must still resolve to a callable, or a
+traced run silently loses it, and every workload of
+``perfbench/workloads.py`` must still build, or a keyword it passes that
+the package no longer takes fails only when the benchmark runs."""
 
 import importlib.util
 import sys
@@ -14,17 +17,30 @@ from mildlab.solver import SolverConfig, measured_constants, picard_solve, small
 
 from conftest import exponents_2d, gaussian_data
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name):
+    # loaded under a private name and without writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tracing(monkeypatch):
-    # loaded under a private name and without writing bytecode next to it
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(monkeypatch, "tracing")
+
+
+@pytest.mark.parametrize("workload", ["desk2d", "solve3d", "constants"])
+def test_every_benchmark_workload_builds(monkeypatch, workload):
+    # builds the configs and seeded data a run times, with every keyword
+    # (gamma=, quad_nodes=, pinned=, ...) the harness passes
+    case = _load(monkeypatch, "workloads").build(workload, 0)
+    configs = case.configs.values() if workload == "constants" else [case.config]
+    assert all(isinstance(config, SolverConfig) for config in configs)
 
 
 def test_every_benchmark_target_resolves(tracing):

@@ -16,7 +16,8 @@ from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import suggest_subindices, operator_table
 from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents, \
     QuadratureRule
-from mildlab.norms import BallSampling, MorreyIndex, x_space_norms, smoothing_constant
+from mildlab.norms import BallSampling, MorreyIndex, x_space_norms, smoothing_constant, \
+    data_norm_I
 from mildlab.solver import (SolverConfig, caloric_extension, picard_map, picard_solve,
                             smallness_check, measured_constants)
 
@@ -94,6 +95,52 @@ def test_nonsolenoidal_data_warns_once_per_map_and_once_per_solve(small_grid, sm
         _, trace = picard_solve(data, config)
     assert trace.iterations >= 1
     assert [str(w.message).endswith("projecting") for w in caught] == [True]
+
+
+def test_smallness_check_norms_the_data_it_evolves():
+    # the data norm, C0 and the verdict are those of the projected datum
+    # that the caloric extension and the solve evolve, not of the raw one
+    grid = Grid(2, 32, 8.0)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, quad_nodes=8, max_iters=2,
+                          time_grid=TimeGrid.spanning(grid.spacing ** 2,
+                                                      grid.box_half_width ** 2, 12))
+    base, g = gaussian_data(grid, 0.01), gaussian(grid, a=1.0, amplitude=0.01)
+    data = StateTuple(0.0, base.n, base.c, base.v, VectorField.from_components([g, g]))
+    projected = StateTuple(0.0, data.n, data.c, data.v, leray_project(data.u))
+
+    def warned_once(apply):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = apply()
+        assert [str(w.message).endswith("projecting") for w in caught] == [True]
+        return result
+
+    table = warned_once(lambda: smallness_check(data, config, n_fields=2))
+    warned_once(lambda: picard_solve(data, config))
+    norm = data_norm_I(projected, config.exps, time_grid=config.time_grid)
+    caloric = caloric_extension(projected, 0.0, config.time_grid)
+    assert table.data_norm == norm
+    assert table.c0 == x_space_norms(caloric, config.exps).total / norm
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7], ids=["undamped", "damped"])
+def test_the_attractant_mean_is_pinned_in_the_output(gamma):
+    # v0 with a nonzero mean evolves as the pinned v0 does, but for v's zero
+    # mode, which the caloric extension and the map both set to exactly 0.0
+    grid = Grid(2, 16, 4.0)
+    config = _map_config(grid, gamma, 0.5, nodes=4)
+    data = gaussian_data(grid, amplitude=0.1)
+    v0 = gaussian(grid, a=1.2, amplitude=0.1, center=(0.4, 0.8))
+    lifted = StateTuple(0.0, data.n, data.c, v0, data.u)
+    pinned = StateTuple(0.0, data.n, data.c, SpectralField(grid, v0.coeffs, pinned=True), data.u)
+    zero = (slice(None),) + (0,) * grid.dim
+    assert v0.coeffs[zero[1:]] != 0.0
+    traj = caloric_extension(pinned, gamma, config.time_grid)
+    for apply in (lambda data: caloric_extension(data, gamma, config.time_grid),
+                  lambda data: picard_map(traj, data, config)):
+        got, want = apply(lifted), apply(pinned)
+        assert np.all(got.v[zero] == 0.0)
+        assert got.array.tobytes() == want.array.tobytes()
 
 
 def test_picard_map_zero_everything(small_grid, small_config):
@@ -461,6 +508,19 @@ def test_picard_map_checks_every_stored_velocity(small_grid, small_config):
         picard_map(traj, data, small_config)
 
 
+def test_picard_map_rejects_a_nan_velocity():
+    # a NaN velocity has a NaN divergence defect, which fails "defect <= 1e-8"
+    grid = Grid(2, 16, 4.0)
+    config = SolverConfig(exps=exponents_2d(), grid=grid, quad_nodes=4,
+                          time_grid=TimeGrid.spanning(grid.spacing ** 2, 16.0, 6))
+    data = gaussian_data(grid, amplitude=0.01)
+    traj = caloric_extension(data, 0.0, config.time_grid)
+    traj.u[3] = math.nan
+    with pytest.raises(ValueError, match=r"^velocity along the trajectory is not "
+                                         r"solenoidal \(defect nan\)$"):
+        picard_map(traj, data, config)
+
+
 def test_config_rejects_force_on_another_grid(small_grid, small_config):
     other = Grid(2, 32, 10.0)
     force = ForceField(radial_homogeneous_force(other, amplitude=0.1), 2)
@@ -558,6 +618,52 @@ def test_lattice_shift_commutes_with_picard_map():
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
+# lattice maps of 2D physical values, given whether they are a vector's stack
+SYMMETRIES_2D = {
+    "shift": lambda values, vector: np.roll(values, (3, 5), axis=(-2, -1)),
+    "swap": lambda values, vector: (np.flip(np.swapaxes(values, -2, -1), axis=-3) if vector
+                                    else np.swapaxes(values, -2, -1)),
+}
+
+
+@pytest.mark.parametrize("how", SYMMETRIES_2D.values(), ids=SYMMETRIES_2D.keys())
+def test_whole_flow_commutes_with_a_lattice_symmetry(how):
+    # a cold check, a rescale to half the threshold, a warm check and the
+    # solve, on data and force moved by a lattice shift or an x <-> y swap
+    # (u's and the force's components swapped too): the warm table, the
+    # X-norm trace and the iteration count are those of the unmoved flow,
+    # and the states are its states moved (all within 2.7e-16 measured)
+    grid = Grid(2, 32, 8.0)
+    exps = exponents_2d()
+    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+
+    def moved(field):
+        return type(field).from_physical(grid, how(field.to_physical(),
+                                                   isinstance(field, VectorField)))
+
+    def flow(data, force):
+        config = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=8,
+                              force=ForceField(force, exps.N1))
+        cold = smallness_check(data, config)
+        data = scale_data(data, 0.5 * cold.delta / cold.data_norm)
+        warm = smallness_check(data, config)
+        return (warm,) + picard_solve(data, config, constants=warm)
+
+    data, force = gaussian_data(grid), radial_homogeneous_force(grid, amplitude=0.02)
+    table, traj, trace = flow(data, force)
+    m_table, m_traj, m_trace = flow(StateTuple(0.0, *(moved(getattr(data, name))
+                                                      for name in "ncvu")), moved(force))
+    assert trace.converged and m_trace.iterations == trace.iterations
+    assert np.allclose(m_trace.x_norms, trace.x_norms, rtol=1e-14, atol=0.0)
+    want = table.as_dict()
+    for name, got in m_table.as_dict().items():
+        assert got == pytest.approx(want[name], rel=1e-14, abs=0.0), name
+    for name in "ncvu":
+        expected = how(grid.backward(getattr(traj, name)), name == "u")
+        got = grid.backward(getattr(m_traj, name))
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max(), name
+
+
 def test_config_needs_two_quadrature_nodes(small_grid, small_config):
     with pytest.raises(ValueError, match="quad_nodes must be at least 2, got 1"):
         SolverConfig(exps=exponents_2d(), grid=small_grid,
@@ -626,13 +732,16 @@ def _nan_like(traj):
 
 @pytest.mark.parametrize("exps", [exponents_2d(0.7), exponents_3d()], ids=["2d-damped", "3d"])
 def test_map_and_caloric_extension_overwrite_every_entry_of_out(exps):
+    # the map of the zero trajectory is the caloric extension: its caloric
+    # rows alone overwrite every entry of out (equal up to the sign of a
+    # zero, and NaN equals nothing), as the full map's rows do bitwise
     config, caloric, data = _forced_map_case(exps)
-    traj = picard_map(caloric, data, config)
-    for make in (lambda out=None: caloric_extension(data, exps.gamma, config.time_grid, out=out),
-                 lambda out=None: picard_map(traj, data, config, out=out)):
-        expected, out = make(), _nan_like(traj)
-        assert make(out) is out
-        assert out.array.tobytes() == expected.array.tobytes()
+    out = _nan_like(caloric)
+    assert picard_map(Trajectory.zero(config.grid, caloric.times), data, config, out=out) is out
+    assert np.array_equal(out.array, caloric.array)
+    expected, out = picard_map(caloric, data, config), _nan_like(caloric)
+    assert picard_map(caloric, data, config, out=out) is out
+    assert out.array.tobytes() == expected.array.tobytes()
 
 
 OUT_ON_ANOTHER_GRID_OR_LAYOUT = {
@@ -666,18 +775,9 @@ def test_picard_map_rejects_an_out_it_cannot_write(make_out, message):
         picard_map(traj, data, config, out=make_out(traj))
 
 
-@pytest.mark.parametrize("make_out, message", OUT_ON_ANOTHER_GRID_OR_LAYOUT.values(),
-                         ids=OUT_ON_ANOTHER_GRID_OR_LAYOUT.keys())
-def test_caloric_extension_rejects_an_out_it_cannot_write(make_out, message):
-    config, traj, data = _forced_map_case(exponents_2d())
-    with pytest.raises(ValueError, match=message):
-        caloric_extension(data, 0.0, config.time_grid, out=make_out(traj))
-
-
 @pytest.mark.parametrize("apply", [
-    lambda data, config, traj, out: caloric_extension(data, 0.0, config.time_grid, out=out),
     lambda data, config, traj, out: picard_map(traj, data, config, out=out),
-], ids=["caloric_extension", "picard_map"])
+], ids=["picard_map"])
 def test_out_may_not_hold_the_data(apply):
     # data whose fields view out's first row would change as the rows are written
     config, traj, data = _forced_map_case(exponents_2d())
