@@ -138,10 +138,12 @@ def check_admissible(exps):
     N, g = exps.N, exps.gamma
     p, q, r = exps.p, exps.q, exps.r
     p1, q1, r1, n1 = exps.p1, exps.q1, exps.r1, exps.N1
-    if N < 2:
+    if not N >= 2:
         failures.append(f"N >= 2 fails for N={N}")
-    if g < 0:
+    if not g >= 0:
         failures.append(f"gamma >= 0 fails for gamma={g:g}")
+    elif not g < math.inf:
+        failures.append(f"gamma < inf fails for gamma={g:g}")
     tag = _case_tag(N, p, q, r, failures) if N >= 2 else ""
 
     for name, sub, outer in (("p1", p1, p), ("q1", q1, q), ("r1", r1, r), ("N1", n1, N)):
@@ -159,7 +161,7 @@ def check_admissible(exps):
                         ("1/p1 + 1/r1", p1, r1), ("1/N1 + 1/q1", n1, q1)):
         if not _leq(1.0 / a + 1.0 / b, 1.0):
             failures.append(f"(B): {label} <= 1 fails ({1.0 / a + 1.0 / b:g})")
-    if abs(q / q1 - r / r1) > _EQ_SLACK * max(1.0, q / q1):
+    if not abs(q / q1 - r / r1) <= _EQ_SLACK * max(1.0, q / q1):
         failures.append(f"(C): q/q1 = r/r1 fails ({q / q1:g} vs {r / r1:g})")
     if not _leq(p / p1, q / q1):
         failures.append(f"(C): p/p1 <= q/q1 fails ({p / p1:g} vs {q / q1:g})")
@@ -172,7 +174,7 @@ def check_admissible(exps):
             failures.append(f"time weight of {name} = {w:g} is not positive")
     for name, row in operator_table(exps).items():
         x, y = row.beta
-        if x <= 0 or y <= 0:
+        if not (x > 0 and y > 0):
             failures.append(f"beta argument of {name} not positive: ({x:g}, {y:g})")
 
     return AdmissibilityReport(not failures, tag, failures)

@@ -26,7 +26,7 @@ from .norms import MorreyIndex, morrey_norm
 
 def beta_function(x, y):
     """Euler beta b(x, y) = Gamma(x) Gamma(y) / Gamma(x + y)."""
-    if x <= 0 or y <= 0:
+    if not (x > 0 and y > 0):
         raise ValueError(f"beta function needs positive arguments, got ({x:g}, {y:g})")
     return float(special.beta(x, y))
 
@@ -39,10 +39,10 @@ class QuadratureRule:
     """
 
     def __init__(self, a, b, node_count=32):
-        if a >= 1 or b >= 1:
+        if not (a < 1 and b < 1):
             raise ValueError(f"non-integrable endpoint weights: a={a:g}, b={b:g}")
         self.node_count = whole_number("node_count", node_count)
-        if self.node_count < 2:
+        if not self.node_count >= 2:
             raise ValueError(f"node_count must be at least 2, got {node_count}")
         self.a = float(a)
         self.b = float(b)
@@ -80,7 +80,7 @@ def constant_bound(name, exps, force=None):
     if name not in table:
         raise ValueError(f"unknown operator constant {name!r}")
     x, y = table[name].beta
-    if x <= 0 or y <= 0:
+    if not (x > 0 and y > 0):
         raise ValueError(f"exponents not admissible for {name}: "
                          f"beta argument ({x:g}, {y:g}) not positive")
     if name != "beta":

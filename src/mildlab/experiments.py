@@ -63,7 +63,7 @@ def verify_self_similar(traj, lambdas, window, gamma=0.0):
     pairs = 0
     for lam in lambdas:
         lam_int = int(round(lam))
-        if abs(lam - lam_int) > 1e-12 or lam_int < 1:
+        if not (abs(lam - lam_int) <= 1e-12 and lam_int >= 1):
             raise ValueError(f"lattice-compatible lambda must be a positive integer, got {lam}")
         for k, t in enumerate(times):
             if not (window.t_min <= t <= window.t_max):

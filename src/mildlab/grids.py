@@ -118,7 +118,7 @@ class TimeGrid:
         if not 1 < ratio < np.inf:
             raise ValueError(f"ratio must exceed 1 and be finite, got {ratio}")
         self.count = whole_number("count", count)
-        if self.count < 2:
+        if not self.count >= 2:
             raise ValueError(f"count must be at least 2, got {count}")
         self.t0 = float(t0)
         self.ratio = float(ratio)

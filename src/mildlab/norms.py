@@ -78,7 +78,7 @@ class BallSampling:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
         self.center_stride = whole_number("center_stride", center_stride)
-        if self.center_stride < 1:
+        if not self.center_stride >= 1:
             raise ValueError("center_stride must be >= 1")
         self.radii = radii
 
@@ -369,7 +369,7 @@ def morrey_sup(grid, rows, idx, sampling=None):
 def besov_morrey_norm_heat(field, idx, s, time_grid=None, sampling=None):
     """Heat characterization sup_t t^(-s/2) ||e^{t Lap} u||_{M^p_p1}, s < 0,
     one ``morrey_sup`` over the ``heat_row``s of u."""
-    if s >= 0:
+    if not s < 0:
         raise ValueError(f"the heat characterization needs s < 0, got s = {s}")
     row = _as_row(field)
     if time_grid is None:
@@ -476,7 +476,7 @@ def smoothing_constant(grid, requests, n_fields, sampling=None):
     physical space at most once, when some request's bound can still raise
     the max.  An empty ensemble measures nothing and is rejected.
     """
-    if n_fields < 1:
+    if not n_fields >= 1:
         raise ValueError(f"smoothing constants need n_fields >= 1, got {n_fields}")
     for src_idx, dst_idx, _ in requests.values():
         if not dst_idx.is_sup and (dst_idx.p < src_idx.p - 1e-12 or

@@ -8,10 +8,10 @@ zero mode is written in ``_pin_attractant`` alone.  The map adds its nine
 Duhamel terms, by the matched singular rules, to each output's caloric
 row.  Integrand spectra are formed once per stored time, on the
 2/3-dealiased modes, into column blocks of the output's own rows, which
-are then written from the last time to the first; one weight matrix per
-output time serves each group of terms that share rule exponents and
-damping, on the heat shells the group reads.  The constants are measured
-in one pass over the smoothing ensemble.
+are then written from the last time to the first.  Damping shifts the
+decay rate (|xi|^2 + gamma on v's terms), so one weight matrix per output
+time serves each rule, on the distinct rates its terms read.  The
+constants are measured in one pass over the smoothing ensemble.
 """
 
 import math
@@ -62,23 +62,23 @@ class SolverConfig:
 
     def __post_init__(self):
         self.max_iters = whole_number("max_iters", self.max_iters)
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if not math.isfinite(self.tol):
             raise ValueError(f"tol must be finite, got {self.tol}")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         self.quad_nodes = whole_number("quad_nodes", self.quad_nodes)
-        if self.quad_nodes < 2:
+        if not self.quad_nodes >= 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes}")
         _require_grid(self.grid, force=self.force)
         if self.force is not None and self.force.n1 != self.exps.N1:
             raise ValueError(f"force is normed at N1 = {self.force.n1:g}, the exponent "
                              f"set's N1 = {self.exps.N1:g}")
+        require_admissible(self.exps)
         if self.gamma != self.exps.gamma:
             raise ValueError(f"config gamma = {self.gamma:g} differs from the exponent "
                              f"set's gamma = {self.exps.gamma:g}")
-        require_admissible(self.exps)
 
     def rules(self):
         """The Gauss-Jacobi rule of every tag, one object per distinct weight.
@@ -218,22 +218,21 @@ def _integrand_store(traj, force, cell_fluxes, buffer):
     return stacks
 
 
-def _duhamel_weights(t, rule, gamma, times, k2_shells):
-    """W[j, s]: total weight of stored integrand j at time t on the heat shell
-    |xi|^2 = k2_shells[s], summing over the nodes tau = t z the factor
-    t w (1-z)^a z^b e^{-(gamma + |xi|^2)(t - tau)} times the log-t
-    interpolation weight (clamped below the first stored time).  Rows past
-    the last stored time the nodes reach are all zero and left out."""
+def _duhamel_weights(t, rule, times, rates):
+    """W[j, s]: total weight of stored integrand j at time t at decay rate
+    rates[s] (|xi|^2, plus gamma on v's terms), summing over the nodes
+    tau = t z the factor t w (1-z)^a z^b e^{-rates[s] (t - tau)} times the
+    log-t interpolation weight (clamped below the first stored time).
+    Rows past the last stored time the nodes reach are zero and left out."""
     z = rule.nodes
     tau = t * z
-    lag = t - tau
-    scale = t * rule.weights * (1.0 - z) ** rule.a * z ** rule.b * np.exp(-gamma * lag)
+    scale = t * rule.weights * (1.0 - z) ** rule.a * z ** rule.b
     log_times = np.log(times)
     j = np.clip(np.searchsorted(times, tau, side="right") - 1, 0, len(times) - 2)
     theta = np.clip((np.log(tau) - log_times[j]) / (log_times[j + 1] - log_times[j]),
                     0.0, 1.0)
-    heat = np.exp(-np.outer(lag, k2_shells))
-    weights = np.zeros((int(j.max()) + 2, len(k2_shells)))
+    heat = np.exp(-np.outer(t - tau, rates))
+    weights = np.zeros((int(j.max()) + 2, len(rates)))
     # no BLAS product: waking its worker threads made the cost vary run to run
     for node, row in enumerate(j):
         weights[row] += ((1.0 - theta[node]) * scale[node]) * heat[node]
@@ -257,11 +256,11 @@ def picard_map(traj, data, config, out=None):
     copied into its row of ``out``; v's zero mode is pinned once all rows
     are written.  Every node of output k lies below t_k, so it reads
     stored rows up to k only; at k = 0 the clamp below t_0 gives row 1 an
-    exact zero weight, and the weights are cut to k + 1 rows.  Terms that
-    share a rule of ``config.rules()`` and damping (gamma on v, else 0)
-    share one weight matrix over (stored time, heat shell) per output
-    time, on the shells of the modes they read; each stack contracts it at
-    its modes' shells.
+    exact zero weight, and the weights are cut to k + 1 rows.  A stack's
+    modes decay at |xi|^2, plus ``config.gamma`` on v's stacks (B343, L3):
+    the map's one statement of damping.  The terms of one rule of
+    ``config.rules()`` share a weight matrix per output time, on the
+    distinct rates of their stacks, each stack reading its own columns.
     """
     _require_grid(config.grid, data=data)
     _require_stored("trajectory", traj, config.grid, config.time_grid)
@@ -288,25 +287,24 @@ def picard_map(traj, data, config, out=None):
     data = _free_data(data)
     store = _integrand_store(traj, force, tuple(cell.values()),
                              out.array.reshape(len(times), -1))
-    group_of = {tags: (rules[tags[0]], config.gamma if TERMS[tags[0]][1] == "v" else 0.0)
-                for tags in store}
-    # a group's weights live on the shells of the modes its stacks read
+    # a rule's weights live on the distinct decay rates of all its stacks
     k2 = grid.k2.reshape(-1)
-    shells = {group: np.unique(np.concatenate([k2[modes] for tags, (modes, _) in store.items()
-                                               if group_of[tags] == group]))
-              for group in dict.fromkeys(group_of.values())}
-    columns = {tags: np.searchsorted(shells[group_of[tags]], k2[modes])
-               for tags, (modes, _) in store.items()}
+    rates = {tags: k2[modes] + (config.gamma if TERMS[tags[0]][1] == "v" else 0.0)
+             for tags, (modes, _) in store.items()}
+    distinct = {rule: np.unique(np.concatenate([r for tags, r in rates.items()
+                                                if rules[tags[0]] is rule]))
+                for rule in dict.fromkeys(rules[tags[0]] for tags in store)}
+    columns = {tags: np.searchsorted(distinct[rules[tags[0]]], r) for tags, r in rates.items()}
 
     row = np.empty(out.array.shape[1:], dtype=complex)
     flat = row.reshape(row.shape[0], -1)
     for kk in reversed(range(len(times))):
         t = times[kk]
-        weights = {group: _duhamel_weights(t, *group, times, k2_shells)[:kk + 1]
-                   for group, k2_shells in shells.items()}
+        weights = {rule: _duhamel_weights(t, rule, times, r)[:kk + 1]
+                   for rule, r in distinct.items()}
         _caloric_row(data, config.gamma, t, row)
         for tags, (modes, stack) in store.items():
-            rows = weights[group_of[tags]][:, columns[tags]]
+            rows = weights[rules[tags[0]]][:, columns[tags]]
             # the weights are real: the real and imaginary parts contract apart,
             # in real arithmetic, into one complex term
             part = stack[:len(rows)]
@@ -374,7 +372,7 @@ def measured_constants(config, n_fields=None):
     grid = config.grid
     if n_fields is None:
         n_fields = 8 if grid.dim == 2 else 5
-    if config.exps.p1 / 2 < 1:   # C7's source pair is (p/2, p1/2)
+    if not config.exps.p1 / 2 >= 1:   # C7's source pair is (p/2, p1/2)
         raise ValueError("the velocity self-product needs an inner exponent "
                          f"p1 >= 2, got p1 = {config.exps.p1:g}")
     table = operator_table(config.exps)

@@ -112,14 +112,14 @@ class VectorField(SpectralField):
 
 def heat_apply(field, t):
     """e^{t Laplacian}: multiplier exp(-t |xi|^2), exactly 1 at t = 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"heat flow needs t >= 0, got {t}")
     return field._like(field.coeffs * np.exp(-t * field.grid.k2))
 
 
 def damped_heat_apply(field, t, gamma):
     """e^{-gamma t} e^{t Laplacian}; the factor is exactly 1 at gamma = 0."""
-    if t < 0 or gamma < 0:
+    if not (t >= 0 and gamma >= 0):
         raise ValueError(f"need t >= 0 and gamma >= 0, got t={t}, gamma={gamma}")
     return heat_apply(field, t) * np.exp(-gamma * t)
 
@@ -163,7 +163,7 @@ def rescale_field(field, lam, degree):
     index gather; lam = 1 returns an identical copy.
     """
     lam_int = int(round(lam))
-    if abs(lam - lam_int) > 1e-12 or lam_int < 1:
+    if not (abs(lam - lam_int) <= 1e-12 and lam_int >= 1):
         raise ValueError(f"lambda must be a positive integer for this lattice, got {lam}")
     if lam_int == 1:
         return field.copy()

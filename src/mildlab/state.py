@@ -49,7 +49,7 @@ class StateTuple:
         if abs(self.v.coeffs[(0,) * dim]) != 0.0:
             problems.append("v zero mode is not pinned to 0")
         defect = float(divergence_defects(self.grid, self.u.coeffs))
-        if defect > div_tol:
+        if not defect <= div_tol:
             problems.append(f"u divergence defect {defect:.2e} exceeds {div_tol:.0e}")
         return problems
 

@@ -1,6 +1,7 @@
 """Admissibility clauses, sub-index suggestion, and the worked exponent sets."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -90,7 +91,9 @@ def test_report_when_an_exponent_is_zero(changes):
     (dict(gamma=-0.5), "gamma >= 0 fails for gamma=-0.5"),
     (dict(r1=3), "(C): q/q1 = r/r1 fails (1.5 vs 1.33333)"),
     (dict(p1=2), "(C): p/p1 <= q/q1 fails (2 vs 1.5)"),
-], ids=["N", "gamma", "ratio equality", "ratio order"])
+    (dict(gamma=math.nan), "gamma >= 0 fails for gamma=nan"),
+    (dict(gamma=math.inf), "gamma < inf fails for gamma=inf"),
+], ids=["N", "gamma", "ratio equality", "ratio order", "gamma nan", "gamma inf"])
 def test_report_names_each_violated_clause(changes, clause):
     e = dataclasses.replace(worked_3d(), **changes)
     report = check_admissible(e)

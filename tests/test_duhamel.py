@@ -42,6 +42,15 @@ def test_beta_rejects_nonpositive():
         beta_function(1.0, -0.5)
 
 
+def test_beta_and_rules_reject_nan():
+    for x, y in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="beta function needs positive arguments"):
+            beta_function(x, y)
+    for a, b in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="non-integrable endpoint weights"):
+            QuadratureRule(a, b)
+
+
 def test_rule_weight_sum_is_beta():
     # the weight alone integrates to b(1-a, 1-b): the scalar Duhamel
     # identity integral_0^t (t-tau)^{-a} tau^{-b} dtau = t^{1-a-b} b(1-a, 1-b)
@@ -95,7 +104,7 @@ def test_constant_integrand_against_dense_reference():
     t = 0.8
 
     def integral(nodes):
-        rows = _duhamel_weights(t, QuadratureRule(0.0, 0.0, nodes), 0.0, times, k2_shells)
+        rows = _duhamel_weights(t, QuadratureRule(0.0, 0.0, nodes), times, k2_shells)
         return rows.sum(axis=0)[shell_of].reshape(grid.kshape) * g.coeffs
 
     got, ref = integral(32), integral(320)
@@ -112,9 +121,26 @@ def test_weight_rows_at_shell_zero_carry_the_node_factor():
             rule = QuadratureRule(*rule_exponents(tag, exps), 32)
             z = rule.nodes
             for t in (0.01, 0.9, 4.0, 7.5):
-                rows = _duhamel_weights(t, rule, 0.0, times, k2_shells)
+                rows = _duhamel_weights(t, rule, times, k2_shells)
                 expected = t * np.sum(rule.weights * (1.0 - z) ** rule.a * z ** rule.b)
                 assert abs(rows[:, 0].sum() - expected) <= 1e-13 * expected, (tag, t)
+
+
+def test_weight_rows_at_rate_gamma_carry_the_damped_node_factor():
+    # a damped term's shell 0 decays at rate gamma alone: the rows add up
+    # to t sum w (1-z)^a z^b e^{-gamma t (1-z)}
+    times = TimeGrid.spanning(0.05, 4.0, 16).times
+    for gamma in (0.3, 0.7, 2.5):
+        rates = np.array([0.0, 0.5, 3.0]) + gamma
+        for exps in (worked_3d(), exps_2d()):
+            for tag in ALL_TAGS:
+                rule = QuadratureRule(*rule_exponents(tag, exps), 32)
+                z = rule.nodes
+                for t in (0.01, 0.9, 4.0, 7.5):
+                    rows = _duhamel_weights(t, rule, times, rates)
+                    expected = t * np.sum(rule.weights * (1.0 - z) ** rule.a * z ** rule.b
+                                          * np.exp(-gamma * t * (1.0 - z)))
+                    assert abs(rows[:, 0].sum() - expected) <= 1e-13 * expected, (gamma, tag, t)
 
 
 def test_quadrature_convergence_on_smooth_integrand():
@@ -352,7 +378,7 @@ def test_weights_of_an_output_time_read_no_later_stored_time(exps):
         for rule in set(config.rules().values()):
             for gamma in {0.0, exps.gamma}:
                 for k, t in enumerate(times):
-                    rows = _duhamel_weights(t, rule, gamma, times, k2_shells)
+                    rows = _duhamel_weights(t, rule, times, k2_shells + gamma)
                     assert not rows[k + 1:].any(), (nodes, rule.a, rule.b, gamma, k)
 
 

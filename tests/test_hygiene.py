@@ -15,7 +15,9 @@ string constant may name C1..C7, C4_1..C5_2, alpha or beta only in
 and the constants table).  No call ``int(x)`` of a bare name or an
 attribute truncates a size outside ``grids.whole_number``, and only
 ``state.py`` calls ``Trajectory(``, so the packed layout of a stored
-trajectory is built in one module.  A last check
+trajectory is built in one module.  No guard that raises or reports a
+problem tests an ordering comparison, which NaN always fails: the
+guard is written ``not (valid range)``.  A last check
 runs pytest under the repo's config, where warnings are errors, on a
 failing hypothesis test: the session must go on past it.
 """
@@ -211,6 +213,45 @@ def test_check_flags_a_trajectory_build():
                          ids=lambda p: p.name)
 def test_trajectories_are_built_only_in_state(path):
     assert trajectory_builds(path.read_text()) == [], path.name
+
+
+def nan_blind_guards(source):
+    """Lines of an ``if`` whose test is an ordering comparison (``<``,
+    ``<=``, ``>``, ``>=``), or an ``and``/``or`` of them, and whose body
+    raises or appends a message: every ordering comparison with NaN is
+    false, so such a guard lets NaN through.  ``not (valid range)`` stops
+    it."""
+    def ordering(test):
+        if isinstance(test, ast.BoolOp):
+            return all(ordering(value) for value in test.values)
+        return isinstance(test, ast.Compare) and all(
+            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in test.ops)
+
+    def reports(node):
+        return isinstance(node, ast.Raise) or (
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
+            and len(node.args) == 1 and isinstance(node.args[0], (ast.JoinedStr, ast.Constant))
+            and isinstance(getattr(node.args[0], "value", ""), str))
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.If) and ordering(node.test)
+            and any(reports(inner) for stmt in node.body for inner in ast.walk(stmt))]
+
+
+def test_check_flags_a_nan_blind_guard():
+    assert nan_blind_guards("if t < 0:\n    raise ValueError(t)\n"
+                            "if x <= 0 or y > 1:\n    problems.append(f'bad {x}')\n"
+                            "if a < b <= c and d >= 0:\n    errors.append('bad')\n") == [1, 3, 5]
+    assert nan_blind_guards("if not t >= 0:\n    raise ValueError(t)\n"
+                            "if not (x > 0 and y <= 1):\n    problems.append('bad')\n"
+                            "if n >= 2:\n    ratios.append(a / b)\n"
+                            "if x != y:\n    raise ValueError(x)\n"
+                            "if t < 0:\n    t = 0.0\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_nan_blind_guards(path):
+    assert nan_blind_guards(path.read_text()) == [], path.name
 
 
 def test_a_failing_hypothesis_test_ends_only_itself(tmp_path):

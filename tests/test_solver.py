@@ -14,7 +14,7 @@ from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat
 from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import suggest_subindices, operator_table
-from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, constant_bound, rule_exponents, \
+from mildlab.duhamel import ForceField, ConstantsTable, ALL_TAGS, TERMS, constant_bound, \
     QuadratureRule
 from mildlab.norms import BallSampling, MorreyIndex, x_space_norms, smoothing_constant, \
     data_norm_I
@@ -274,9 +274,9 @@ def _forced_map_case(exps):
     # {B141, B112, B113}, {B242}, {B212}, {B343, B444}, {L3, L4}
     (exponents_2d(), 5),
     (exponents_3d(), 5),
-    # the damped B343 and L3 split from B444 and L4
-    (exponents_2d(0.7), 7),
-    (exponents_3d(0.7), 7),
+    # damping shifts the decay rates of B343 and L3, not their rules
+    (exponents_2d(0.7), 5),
+    (exponents_3d(0.7), 5),
     # {B141}, {B112, B113}, {B242}, {B212}, {B343}, {B444, L4}, {L3}
     (suggest_subindices(3, 0.0, 5, 2.5, 4), 7),
 ], ids=["2d", "3d", "2d-damped", "3d-damped", "3d-p5-q2.5-r4"])
@@ -293,7 +293,7 @@ def test_picard_map_builds_one_weight_matrix_per_group(exps, groups, monkeypatch
 
     monkeypatch.setattr(solver, "_duhamel_weights", counted)
     picard_map(traj, data, config)
-    # one build per group and output time
+    # one build per rule and output time
     assert sorted(built_at) == sorted(list(config.time_grid.times) * groups)
 
 
@@ -333,20 +333,26 @@ def test_picard_map_builds_weights_on_the_shells_a_group_reads(exps, monkeypatch
     built = []
     build = solver._duhamel_weights
 
-    def recorded(t, rule, gamma, times, k2_shells):
-        built.append(((rule.a, rule.b), gamma, len(k2_shells)))
-        return build(t, rule, gamma, times, k2_shells)
+    def recorded(t, rule, times, rates):
+        built.append(((rule.a, rule.b), len(rates)))
+        return build(t, rule, times, rates)
 
     monkeypatch.setattr(solver, "_duhamel_weights", recorded)
     picard_map(traj, data, config)
-    l3_group = (rule_exponents("L3", exps), exps.gamma)
-    all_shells = len(np.unique(grid.k2))
-    product_shells = len(np.unique(grid.k2[grid.dealias_mask]))
-    assert product_shells < all_shells
-    for exponents, gamma, shells in built:
-        expected = all_shells if (exponents, gamma) == l3_group else product_shells
-        assert shells == expected, (exponents, gamma)
-    assert sum(shells == all_shells for _, _, shells in built) == len(traj)
+    k2_all = grid.k2.reshape(-1)
+    k2_products = grid.k2[grid.dealias_mask]
+    assert len(np.unique(k2_products)) < len(np.unique(k2_all))
+    # a rule's weights live on the distinct decay rates of its terms: |xi|^2
+    # on the modes a term reads (L3 every mode, a product the dealiased
+    # ones), plus gamma when the term feeds v
+    rules = config.rules()
+    rates = {(rule.a, rule.b): np.unique(np.concatenate([
+        (k2_all if tag == "L3" else k2_products) + (exps.gamma if target == "v" else 0.0)
+        for tag, (_, target) in TERMS.items() if rules[tag] is rule]))
+        for rule in set(rules.values())}
+    for exponents, width in built:
+        assert width == len(rates[exponents]), exponents
+    assert sorted(exponents for exponents, _ in built) == sorted(list(rates) * len(traj))
 
 
 @pytest.mark.parametrize("exps", [exponents_2d(), exponents_3d()], ids=["2d", "3d"])
@@ -445,6 +451,13 @@ def test_config_rejects_gamma_other_than_the_exponents(small_grid, small_config)
     with pytest.raises(ValueError, match=r"gamma = 0\.3 .*gamma = 0\b"):
         SolverConfig(exps=exponents_2d(), grid=small_grid,
                      time_grid=small_config.time_grid, gamma=0.3)
+
+
+def test_config_reports_a_nan_gamma_by_its_clause(small_grid, small_config):
+    with pytest.raises(ValueError, match=r"^exponents are not admissible: "
+                                         r"gamma >= 0 fails for gamma=nan$"):
+        SolverConfig(exps=exponents_2d(math.nan), grid=small_grid,
+                     time_grid=small_config.time_grid, gamma=math.nan)
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -618,30 +631,48 @@ def test_lattice_shift_commutes_with_picard_map():
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
-# lattice maps of 2D physical values, given whether they are a vector's stack
-SYMMETRIES_2D = {
-    "shift": lambda values, vector: np.roll(values, (3, 5), axis=(-2, -1)),
-    "swap": lambda values, vector: (np.flip(np.swapaxes(values, -2, -1), axis=-3) if vector
-                                    else np.swapaxes(values, -2, -1)),
-}
+def _shift(values, name, dim):
+    return np.roll(values, (3, 5, 2)[:dim], axis=tuple(range(-dim, 0)))
 
 
-@pytest.mark.parametrize("how", SYMMETRIES_2D.values(), ids=SYMMETRIES_2D.keys())
-def test_whole_flow_commutes_with_a_lattice_symmetry(how):
+def _swap(values, name, dim):
+    # x <-> y; a vector (u, or the force "f") swaps its x and y components too
+    values = np.swapaxes(values, -dim, 1 - dim)
+    if name in ("u", "f"):
+        return np.take(values, [1, 0] + list(range(2, dim)), axis=-1 - dim)
+    return values
+
+
+def _scale(values, name, dim):
+    # the same arrays on a box of half the width are the flow scaled by 2:
+    # n, u and the force carry the factors 2^2, 2 and 2, c and v none
+    return {"n": 4.0, "u": 2.0, "f": 2.0}.get(name, 1.0) * values
+
+
+# (dimension, map of a field's physical values, box width factor of the moved flow)
+FLOW_MOVES = {"shift": (2, _shift, 1.0), "swap": (2, _swap, 1.0),
+              "3d-shift": (3, _shift, 1.0), "3d-swap": (3, _swap, 1.0),
+              "scale": (2, _scale, 0.5), "3d-scale": (3, _scale, 0.5)}
+
+
+@pytest.mark.parametrize("dim, how, width", FLOW_MOVES.values(), ids=FLOW_MOVES.keys())
+def test_whole_flow_commutes_with_a_lattice_symmetry(dim, how, width):
     # a cold check, a rescale to half the threshold, a warm check and the
-    # solve, on data and force moved by a lattice shift or an x <-> y swap
-    # (u's and the force's components swapped too): the warm table, the
-    # X-norm trace and the iteration count are those of the unmoved flow,
-    # and the states are its states moved (all within 2.7e-16 measured)
-    grid = Grid(2, 32, 8.0)
-    exps = exponents_2d()
-    tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
+    # solve, on data and force moved by a lattice shift, an x <-> y swap or
+    # the parabolic scaling by 2 (every stored time / 4, every decay rate
+    # x 4): the warm table, the X-norm trace and the iteration count are
+    # those of the unmoved flow, and the states are its states moved (all
+    # within 7.4e-16 measured)
+    grid = Grid(2, 32, 8.0) if dim == 2 else Grid(3, 16, 4.0)
+    moved_grid = Grid(dim, grid.m, width * grid.box_half_width)
+    exps = exponents_2d() if dim == 2 else exponents_3d()
 
-    def moved(field):
-        return type(field).from_physical(grid, how(field.to_physical(),
-                                                   isinstance(field, VectorField)))
+    def moved(field, name):
+        return type(field).from_physical(moved_grid, how(field.to_physical(), name, dim))
 
     def flow(data, force):
+        grid = data.grid
+        tg = TimeGrid.spanning(grid.spacing ** 2, grid.box_half_width ** 2, 12)
         config = SolverConfig(exps=exps, grid=grid, time_grid=tg, quad_nodes=8,
                               force=ForceField(force, exps.N1))
         cold = smallness_check(data, config)
@@ -651,16 +682,17 @@ def test_whole_flow_commutes_with_a_lattice_symmetry(how):
 
     data, force = gaussian_data(grid), radial_homogeneous_force(grid, amplitude=0.02)
     table, traj, trace = flow(data, force)
-    m_table, m_traj, m_trace = flow(StateTuple(0.0, *(moved(getattr(data, name))
-                                                      for name in "ncvu")), moved(force))
+    m_table, m_traj, m_trace = flow(StateTuple(0.0, *(moved(getattr(data, name), name)
+                                                      for name in "ncvu")), moved(force, "f"))
+    assert np.array_equal(m_traj.times, width ** 2 * traj.times)
     assert trace.converged and m_trace.iterations == trace.iterations
     assert np.allclose(m_trace.x_norms, trace.x_norms, rtol=1e-14, atol=0.0)
     want = table.as_dict()
     for name, got in m_table.as_dict().items():
         assert got == pytest.approx(want[name], rel=1e-14, abs=0.0), name
     for name in "ncvu":
-        expected = how(grid.backward(getattr(traj, name)), name == "u")
-        got = grid.backward(getattr(m_traj, name))
+        expected = how(grid.backward(getattr(traj, name)), name, dim)
+        got = moved_grid.backward(getattr(m_traj, name))
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max(), name
 
 

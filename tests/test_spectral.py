@@ -134,6 +134,17 @@ def test_damped_heat_rejects_negatives(grid):
         damped_heat_apply(f, 1.0, -0.5)
 
 
+def test_heat_flows_reject_nan(grid):
+    # an all-NaN field is not a heat flow: NaN fails every guard
+    f = gaussian(grid)
+    with pytest.raises(ValueError, match="^heat flow needs t >= 0, got nan$"):
+        heat_apply(f, math.nan)
+    for t, gamma in ((1.0, math.nan), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match=f"^need t >= 0 and gamma >= 0, got t={t}, "
+                                             f"gamma={gamma}$"):
+            damped_heat_apply(f, t, gamma)
+
+
 def test_leray_annihilates_gradients(grid):
     phi = random_band_limited(grid, seed=13)
     g = gradient(phi)
@@ -271,6 +282,14 @@ def test_trajectory_state_reports_a_divergent_velocity():
     assert defect > 1e-3
     assert traj.state(0).validate() == []
     assert traj.state(1).validate() == [f"u divergence defect {defect:.2e} exceeds 1e-10"]
+
+
+def test_trajectory_state_reports_a_nan_velocity():
+    grid = Grid(2, 16, 4.0)
+    traj = Trajectory.zero(grid, TimeGrid(0.1, 2.0, 3).times)
+    traj.u[1] = np.nan
+    assert traj.state(0).validate() == []
+    assert traj.state(1).validate() == ["u divergence defect nan exceeds 1e-10"]
 
 
 def test_time_grid_spanning_needs_two_times():
