@@ -105,6 +105,12 @@ class Grid:
         return (self.dim == other.dim and self.m == other.m
                 and self.box_half_width == other.box_half_width)
 
+    def require(self, other, what, whose="the grid"):
+        """Raise ValueError, naming ``what`` and ``whose`` grid, unless grid
+        ``other`` is compatible with this one."""
+        if not self.compatible(other):
+            raise ValueError(f"{what} lives on {other!r}, not on {whose} {self!r}")
+
     def __repr__(self):
         return f"Grid(dim={self.dim}, m={self.m}, L={self.box_half_width})"
 

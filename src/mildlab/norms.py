@@ -148,6 +148,7 @@ def heat_row(field, t=0.0, derivative=False, moduli=None, memo=False):
     given |F| as ``moduli`` or taken from the field, and of values a
     scalar's or a vector's magnitude; ``memo`` keeps the values once made,
     for a row read more than once."""
+    # imported per call, or perfbench/tracing.py's spectral.gradient wrapper counts 0 calls
     from .spectral import gradient
 
     if not isinstance(field, SpectralField):
@@ -173,8 +174,8 @@ def _as_row(field, grid=None):
     """``field`` as a ``DeferredField`` (``heat_row(field)`` unless it is
     one), checked to live on ``grid`` if given (else ``ValueError``)."""
     row = field if isinstance(field, DeferredField) else heat_row(field)
-    if grid is not None and not grid.compatible(row.grid):
-        raise ValueError(f"a Morrey row lives on {row.grid!r}, not on the grid {grid!r}")
+    if grid is not None:
+        grid.require(row.grid, "a Morrey row")
     return row
 
 
@@ -442,6 +443,7 @@ def data_norm_components(data, exps, time_grid=None, sampling=None):
     """The five summands of the initial-data norm, keyed n0, c0_sup, grad_c0,
     grad_v0 and u0: the sup of c0, and each weighted X-norm term's Besov-Morrey
     norm of smoothness -2w, of the data's field ``_TERM_FIELDS`` names."""
+    # imported per call, or perfbench/tracing.py's spectral.gradient wrapper counts 0 calls
     from .spectral import gradient
 
     def summand(name, p, p1, w):

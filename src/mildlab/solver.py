@@ -22,25 +22,18 @@ import numpy as np
 
 from .grids import Grid, TimeGrid, whole_number
 from .state import StateTuple, Trajectory
-from .spectral import heat_apply, damped_heat_apply, leray_project, divergence_defects
+from .spectral import heat_apply, leray_project, divergence_defects
 from .norms import MorreyIndex, x_space_norms, data_norm_I, smoothing_constant
 from .duhamel import QuadratureRule, rule_exponents, constant_bound, ConstantsTable, \
     ForceField, ALL_TAGS, TERMS
 from .admissibility import require_admissible, operator_table
 
 
-def _require_grid(grid, **named):
-    """Raise ValueError unless each named object (None aside) lives on ``grid``."""
-    for name, obj in named.items():
-        if obj is not None and not grid.compatible(obj.grid):
-            raise ValueError(f"{name} lives on {obj.grid!r}, not on the solver grid {grid!r}")
-
-
 def _require_stored(name, traj, grid, time_grid, reads=()):
     """Raise ValueError unless trajectory ``traj`` lives on ``grid`` at the
     times of ``time_grid`` and shares no memory with the arrays ``reads``,
     which are read while it is written."""
-    _require_grid(grid, **{name: traj})
+    grid.require(traj.grid, name, "the solver grid")
     if not traj.stored_at(time_grid.times):
         raise ValueError(f"{name} is not defined on the configured time grid")
     if any(np.shares_memory(traj.array, b) for b in reads):
@@ -71,10 +64,11 @@ class SolverConfig:
         self.quad_nodes = whole_number("quad_nodes", self.quad_nodes)
         if not self.quad_nodes >= 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes}")
-        _require_grid(self.grid, force=self.force)
-        if self.force is not None and self.force.n1 != self.exps.N1:
-            raise ValueError(f"force is normed at N1 = {self.force.n1:g}, the exponent "
-                             f"set's N1 = {self.exps.N1:g}")
+        if self.force is not None:
+            self.grid.require(self.force.grid, "force", "the solver grid")
+            if self.force.n1 != self.exps.N1:
+                raise ValueError(f"force is normed at N1 = {self.force.n1:g}, the exponent "
+                                 f"set's N1 = {self.exps.N1:g}")
         require_admissible(self.exps)
         if self.gamma != self.exps.gamma:
             raise ValueError(f"config gamma = {self.gamma:g} differs from the exponent "
@@ -112,7 +106,7 @@ def _free_data(data):
     """The datum the solver norms and evolves: ``data`` itself if u is
     solenoidal, else, with a warning, ``data`` with u Leray-projected."""
     defect = float(divergence_defects(data.grid, data.u.coeffs))
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         warnings.warn(f"initial velocity has divergence defect {defect:.2e}; projecting")
         return StateTuple(data.t, data.n, data.c, data.v, leray_project(data.u))
     return data
@@ -125,20 +119,24 @@ def _pin_attractant(traj):
 
 def _caloric_row(data, gamma, t, row):
     """Write the free evolution at time t of ``data``, as ``_free_data``
-    makes it, into ``row``: one stored time's (3 + N, *kshape) block, in
-    ``Trajectory.ROWS`` order, v's zero mode not yet pinned."""
-    rows = Trajectory.ROWS
-    row[rows["n"]] = heat_apply(data.n, t).coeffs
-    row[rows["c"]] = heat_apply(data.c, t).coeffs
-    row[rows["v"]] = damped_heat_apply(data.v, t, gamma).coeffs
-    row[rows["u"]] = heat_apply(data.u, t).coeffs
+    makes it, into ``row``, one stored time's (3 + N, *kshape) block: each
+    component's heat flow in ``Trajectory.ROWS`` order, then v's row
+    scaled in place by its damping e^{-gamma t}; v's zero mode is not yet
+    pinned.  ``gamma`` is taken as checked."""
+    for name, rows in Trajectory.ROWS.items():
+        row[rows] = heat_apply(getattr(data, name), t).coeffs
+    row[Trajectory.ROWS["v"]] *= np.exp(-gamma * t)
 
 
 def caloric_extension(data, gamma, time_grid):
     """Free evolution of the data, as ``_free_data`` prepares it, at every
     stored time: the first Picard iterate (e^{tL} n0, e^{tL} c0,
     e^{-gt} e^{tL} v0, e^{tL} u0) in a new trajectory, one ``_caloric_row``
-    per stored time, with v's zero mode pinned to 0."""
+    per stored time, with v's zero mode pinned to 0.  The damping rate
+    gamma must be finite and >= 0 (else ValueError), checked here once:
+    ``picard_map`` reads a ``SolverConfig``'s, checked with its exponents."""
+    if not (0 <= gamma < math.inf):
+        raise ValueError(f"caloric extension needs a finite gamma >= 0, got {gamma}")
     data = _free_data(data)
     out = Trajectory.zero(data.grid, time_grid.times.copy())
     for kk, t in enumerate(time_grid.times):
@@ -262,7 +260,7 @@ def picard_map(traj, data, config, out=None):
     ``config.rules()`` share a weight matrix per output time, on the
     distinct rates of their stacks, each stack reading its own columns.
     """
-    _require_grid(config.grid, data=data)
+    config.grid.require(data.grid, "data", "the solver grid")
     _require_stored("trajectory", traj, config.grid, config.time_grid)
     grid = config.grid
     times = config.time_grid.times
@@ -331,7 +329,7 @@ def picard_solve(data, config, constants=None):
     Divergence (three consecutive growing differences, or a non-finite
     norm) stops the iteration with the diverged flag set.
     """
-    _require_grid(config.grid, data=data)
+    config.grid.require(data.grid, "data", "the solver grid")
     trace = IterationTrace(constants=constants)
     data = _free_data(data)
     x = caloric_extension(data, config.gamma, config.time_grid)
@@ -390,7 +388,7 @@ def smallness_check(data, config, n_fields=None):
     extension constant C0, delta = epsilon/C0, and the data verdict.  The
     data are prepared once, by ``_free_data``, so the data norm, C0 and
     the verdict are those of the datum ``picard_solve`` evolves."""
-    _require_grid(config.grid, data=data)
+    config.grid.require(data.grid, "data", "the solver grid")
     data = _free_data(data)
     consts = measured_constants(config, n_fields=n_fields)
     norm_data = data_norm_I(data, config.exps, time_grid=config.time_grid,

@@ -4,12 +4,14 @@ Fields are real-valued in physical space and stored as half-spectra
 (``rfftn`` coefficients): a scalar as one ``kshape`` array, a vector field
 as one ``(dim, *kshape)`` array, the layout of a trajectory's rows
 (``state``).  Both classes are built by one constructor, ``cls(grid,
-coeffs)``, the only one that pins a zero mode.  Heat flow, damping, the
-gradient and the solenoidal (Leray-Helmholtz) projection are exact
-diagonal multipliers that broadcast over a vector's leading axis; products
+coeffs)``, the only one that pins a zero mode.  Heat flow, the gradient
+and the solenoidal (Leray-Helmholtz) projection are exact diagonal
+multipliers that broadcast over a vector's leading axis; products
 are formed in physical space and 2/3-dealiased (``grid.dealias_mask``) by
 the callers that need them.
 """
+
+import math
 
 import numpy as np
 
@@ -63,8 +65,7 @@ class SpectralField:
         return type(self)(self.grid, coeffs)
 
     def _combined(self, other, op):
-        if not self.grid.compatible(other.grid):
-            raise ValueError(f"fields live on different grids: {self.grid!r} and {other.grid!r}")
+        other.grid.require(self.grid, "the left operand", "the right operand's grid")
         return self._like(op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
@@ -95,9 +96,8 @@ class VectorField(SpectralField):
         grid = components[0].grid
         if len(components) != grid.dim:
             raise ValueError(f"expected {grid.dim} components, got {len(components)}")
-        for comp in components[1:]:
-            if not grid.compatible(comp.grid):
-                raise ValueError("vector components live on different grids")
+        for index, comp in enumerate(components[1:], start=1):
+            grid.require(comp.grid, f"component {index}", "component 0's grid")
         return cls(grid, np.stack([comp.coeffs for comp in components]))
 
     @property
@@ -112,16 +112,9 @@ class VectorField(SpectralField):
 
 def heat_apply(field, t):
     """e^{t Laplacian}: multiplier exp(-t |xi|^2), exactly 1 at t = 0."""
-    if not t >= 0:
-        raise ValueError(f"heat flow needs t >= 0, got {t}")
+    if not (0 <= t < math.inf):
+        raise ValueError(f"heat flow needs a finite t >= 0, got {t}")
     return field._like(field.coeffs * np.exp(-t * field.grid.k2))
-
-
-def damped_heat_apply(field, t, gamma):
-    """e^{-gamma t} e^{t Laplacian}; the factor is exactly 1 at gamma = 0."""
-    if not (t >= 0 and gamma >= 0):
-        raise ValueError(f"need t >= 0 and gamma >= 0, got t={t}, gamma={gamma}")
-    return heat_apply(field, t) * np.exp(-gamma * t)
 
 
 def gradient(field):

@@ -37,10 +37,7 @@ class StateTuple:
         """n's grid; raises ValueError if c, v or u lives on another."""
         grid = self.n.grid
         for name in ("c", "v", "u"):
-            other = getattr(self, name).grid
-            if not grid.compatible(other):
-                raise ValueError(f"state component {name} lives on {other!r}, "
-                                 f"not on n's grid {grid!r}")
+            grid.require(getattr(self, name).grid, f"state component {name}", "n's grid")
         return grid
 
     def validate(self, div_tol=1e-10):
@@ -88,9 +85,7 @@ class Trajectory:
             raise ValueError("empty trajectory")
         grid = states[0].grid
         for index, state in enumerate(states[1:], start=1):
-            if not grid.compatible(state.grid):
-                raise ValueError(f"state {index} lives on {state.grid!r}, "
-                                 f"not on state 0's grid {grid!r}")
+            grid.require(state.grid, f"state {index}", "state 0's grid")
         traj = cls.zero(grid, [s.t for s in states])
         for name, rows in cls.ROWS.items():
             traj.array[:, rows] = [getattr(s, name).coeffs for s in states]
@@ -125,9 +120,7 @@ class Trajectory:
         return Trajectory(self.grid, self.times.copy(), self.array.copy())
 
     def __sub__(self, other):
-        if not self.grid.compatible(other.grid):
-            raise ValueError(f"trajectories live on different grids: "
-                             f"{self.grid!r} and {other.grid!r}")
+        other.grid.require(self.grid, "the left operand", "the right operand's grid")
         if not self.stored_at(other.times):
             raise ValueError("trajectories live on different time grids")
         return Trajectory(self.grid, self.times, self.array - other.array)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mildlab.grids import Grid, TimeGrid
-from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_heat_apply,
-                              gradient, divergence_defects)
+from mildlab.spectral import (SpectralField, VectorField, heat_apply, gradient,
+                              divergence_defects)
 from mildlab.fields import gaussian, solenoidal_gaussian, random_band_limited
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import ExponentSet, operator_table
@@ -255,7 +255,7 @@ def caloric_setup():
     time_grid = TimeGrid.spanning(0.05, 4.0, 16)
     traj = Trajectory.from_states([
         StateTuple(tau, heat_apply(n0, tau), heat_apply(c0, tau),
-                   damped_heat_apply(v0, tau, 0.0), heat_apply(u0, tau))
+                   heat_apply(v0, tau), heat_apply(u0, tau))
         for tau in time_grid.times])
     force = ForceField(solenoidal_gaussian(grid, a=1.0, amplitude=0.5), n1=2.0)
     return traj, time_grid, force

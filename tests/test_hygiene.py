@@ -15,9 +15,11 @@ string constant may name C1..C7, C4_1..C5_2, alpha or beta only in
 and the constants table).  No call ``int(x)`` of a bare name or an
 attribute truncates a size outside ``grids.whole_number``, and only
 ``state.py`` calls ``Trajectory(``, so the packed layout of a stored
-trajectory is built in one module.  No guard that raises or reports a
-problem tests an ordering comparison, which NaN always fails: the
-guard is written ``not (valid range)``.  A last check
+trajectory is built in one module; only ``grids.py`` calls
+``.compatible(``, so a grid mismatch is raised by ``Grid.require``
+alone.  No guard that raises, warns or reports a problem tests an
+ordering comparison, which NaN always fails: the guard is written
+``not (valid range)``.  A last check
 runs pytest under the repo's config, where warnings are errors, on a
 failing hypothesis test: the session must go on past it.
 """
@@ -215,20 +217,44 @@ def test_trajectories_are_built_only_in_state(path):
     assert trajectory_builds(path.read_text()) == [], path.name
 
 
+def compatibility_calls(source):
+    """Lines that call a ``.compatible`` method."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "compatible")
+
+
+def test_check_flags_a_compatibility_call():
+    assert compatibility_calls("if not grid.compatible(other):\n    raise ValueError\n"
+                               "ok = a.grid.compatible(b.grid)\n") == [1, 3]
+    assert compatibility_calls("grid.require(other, 'data')\ncompatible(a, b)\n"
+                               "f = grid.compatible\n") == []
+
+
+@pytest.mark.parametrize("path", [path for path in PACKAGE if path.name != "grids.py"],
+                         ids=lambda p: p.name)
+def test_grids_are_compared_only_in_grids(path):
+    assert compatibility_calls(path.read_text()) == [], path.name
+
+
 def nan_blind_guards(source):
     """Lines of an ``if`` whose test is an ordering comparison (``<``,
     ``<=``, ``>``, ``>=``), or an ``and``/``or`` of them, and whose body
-    raises or appends a message: every ordering comparison with NaN is
-    false, so such a guard lets NaN through.  ``not (valid range)`` stops
-    it."""
+    raises, warns (``warnings.warn``) or appends a message: every ordering
+    comparison with NaN is false, so such a guard lets NaN through.
+    ``not (valid range)`` stops it."""
     def ordering(test):
         if isinstance(test, ast.BoolOp):
             return all(ordering(value) for value in test.values)
         return isinstance(test, ast.Compare) and all(
             isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in test.ops)
 
+    def warns(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn"
+                and getattr(node.func.value, "id", None) == "warnings")
+
     def reports(node):
-        return isinstance(node, ast.Raise) or (
+        return isinstance(node, ast.Raise) or warns(node) or (
             isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
             and len(node.args) == 1 and isinstance(node.args[0], (ast.JoinedStr, ast.Constant))
             and isinstance(getattr(node.args[0], "value", ""), str))
@@ -241,12 +267,14 @@ def nan_blind_guards(source):
 def test_check_flags_a_nan_blind_guard():
     assert nan_blind_guards("if t < 0:\n    raise ValueError(t)\n"
                             "if x <= 0 or y > 1:\n    problems.append(f'bad {x}')\n"
-                            "if a < b <= c and d >= 0:\n    errors.append('bad')\n") == [1, 3, 5]
+                            "if a < b <= c and d >= 0:\n    errors.append('bad')\n"
+                            "if d > 1e-10:\n    warnings.warn(f'defect {d}')\n") == [1, 3, 5, 7]
     assert nan_blind_guards("if not t >= 0:\n    raise ValueError(t)\n"
                             "if not (x > 0 and y <= 1):\n    problems.append('bad')\n"
                             "if n >= 2:\n    ratios.append(a / b)\n"
                             "if x != y:\n    raise ValueError(x)\n"
-                            "if t < 0:\n    t = 0.0\n") == []
+                            "if t < 0:\n    t = 0.0\n"
+                            "if not d <= 1e-10:\n    warnings.warn('defect')\n") == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

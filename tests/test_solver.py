@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from mildlab.grids import Grid, TimeGrid
-from mildlab.spectral import SpectralField, VectorField, heat_apply, damped_heat_apply, \
-    leray_project, divergence_defects
+from mildlab.spectral import SpectralField, VectorField, heat_apply, leray_project, \
+    divergence_defects
 from mildlab.fields import gaussian, radial_homogeneous_force
 from mildlab.state import StateTuple, Trajectory
 from mildlab.admissibility import suggest_subindices, operator_table
@@ -62,8 +62,30 @@ def test_caloric_damps_attractant(small_grid, small_config):
     gamma = 0.9
     traj = caloric_extension(data, gamma, small_config.time_grid)
     t = traj.times[5]
-    expected = damped_heat_apply(v0, t, gamma)
-    assert np.abs(traj.v[5] - expected.coeffs).max() < 1e-14 * np.abs(expected.coeffs).max()
+    expected = heat_apply(v0, t).coeffs * np.exp(-gamma * t)
+    assert np.abs(traj.v[5] - expected).max() < 1e-14 * np.abs(expected).max()
+
+
+def test_undamped_caloric_attractant_is_its_heat_flow(small_grid, small_config):
+    data = gaussian_data(small_grid)
+    traj = caloric_extension(data, 0.0, small_config.time_grid)
+    for k, t in enumerate(traj.times):
+        assert np.array_equal(traj.v[k], heat_apply(data.v, t).coeffs)
+
+
+def test_caloric_damping_at_ln2_over_t_halves_the_attractant(small_grid, small_config):
+    data = gaussian_data(small_grid)
+    t = small_config.time_grid.times[5]
+    traj = caloric_extension(data, math.log(2.0) / t, small_config.time_grid)
+    expected = 0.5 * heat_apply(data.v, t).coeffs
+    assert np.abs(traj.v[5] - expected).max() < 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, math.inf])
+def test_caloric_extension_rejects_gamma_outside_zero_to_inf(small_grid, small_config, gamma):
+    with pytest.raises(ValueError, match=f"^caloric extension needs a finite gamma >= 0, "
+                                         f"got {gamma}$"):
+        caloric_extension(StateTuple.zero(small_grid), gamma, small_config.time_grid)
 
 
 def test_caloric_projects_nonsolenoidal_with_warning(small_grid, small_config):
@@ -73,6 +95,17 @@ def test_caloric_projects_nonsolenoidal_with_warning(small_grid, small_config):
     with pytest.warns(UserWarning, match="projecting"):
         traj = caloric_extension(data, 0.0, small_config.time_grid)
     assert divergence_defects(small_grid, traj.state(0).u.coeffs) < 1e-12
+
+
+def test_smallness_check_reports_a_nan_velocity():
+    grid = Grid(2, 16, 4.0)
+    data = gaussian_data(grid)
+    data.u.coeffs[0, 2, 3] = math.nan
+    config = SolverConfig(exps=exponents_2d(), grid=grid, quad_nodes=4,
+                          time_grid=TimeGrid.spanning(grid.spacing ** 2, 16.0, 6))
+    with pytest.warns(UserWarning, match="^initial velocity has divergence defect nan; "
+                                         "projecting$"):
+        smallness_check(data, config, n_fields=3)
 
 
 def test_nonsolenoidal_data_warns_once_per_map_and_once_per_solve(small_grid, small_config):
@@ -173,7 +206,7 @@ def test_picard_map_matches_per_operator_path(small_grid):
 
     def state_at(tau):
         return StateTuple(tau, heat_apply(data.n, tau), heat_apply(data.c, tau),
-                          damped_heat_apply(data.v, tau, 0.0), heat_apply(data.u, tau))
+                          heat_apply(data.v, tau), heat_apply(data.u, tau))
 
     expected = reference_picard_map(caloric, data, config, state_at=state_at, rows=[k])
     for name in ("n", "c", "v", "u"):

@@ -1,6 +1,6 @@
 """Exactness of the Fourier-side operators: heat flow, derivatives,
-damping, solenoidal projection, lattice rescaling; the periodic
-displacement behind the centred field recipes."""
+solenoidal projection, lattice rescaling; the periodic displacement
+behind the centred field recipes."""
 
 import math
 
@@ -11,9 +11,8 @@ from mildlab.admissibility import ExponentSet
 from mildlab.duhamel import QuadratureRule
 from mildlab.grids import Grid, TimeGrid
 from mildlab.norms import BallSampling
-from mildlab.spectral import (SpectralField, VectorField, heat_apply, damped_heat_apply,
-                              leray_project, rescale_field, gradient,
-                              divergence_defects)
+from mildlab.spectral import (SpectralField, VectorField, heat_apply, leray_project,
+                              rescale_field, gradient, divergence_defects)
 from mildlab.fields import (gaussian, gaussian_evolved, solenoidal_gaussian, random_band_limited,
                             bump)
 from mildlab.state import StateTuple, Trajectory
@@ -108,41 +107,17 @@ def test_heat_grad_single_mode(grid):
     assert rel(got, expected) < 1e-12
 
 
-def test_damped_heat_gamma_zero_matches_heat(grid):
-    f = random_band_limited(grid, seed=7)
-    assert np.array_equal(damped_heat_apply(f, 0.8, 0.0).coeffs,
-                          heat_apply(f, 0.8).coeffs)
-
-
-def test_damped_heat_constant_halves(grid):
-    one = SpectralField.from_physical(grid, np.ones(grid.shape))
-    out = damped_heat_apply(one, 1.0, np.log(2.0))
-    assert rel(out.to_physical(), 0.5 * np.ones(grid.shape)) < 1e-13
-
-
-def test_damped_heat_t0_identity(grid):
-    f = random_band_limited(grid, seed=11)
-    out = damped_heat_apply(f, 0.0, 1.3)
-    assert np.array_equal(out.coeffs, f.coeffs)
-
-
-def test_damped_heat_rejects_negatives(grid):
-    f = gaussian(grid)
-    with pytest.raises(ValueError):
-        damped_heat_apply(f, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        damped_heat_apply(f, 1.0, -0.5)
-
-
 def test_heat_flows_reject_nan(grid):
     # an all-NaN field is not a heat flow: NaN fails every guard
     f = gaussian(grid)
-    with pytest.raises(ValueError, match="^heat flow needs t >= 0, got nan$"):
+    with pytest.raises(ValueError, match="^heat flow needs a finite t >= 0, got nan$"):
         heat_apply(f, math.nan)
-    for t, gamma in ((1.0, math.nan), (math.nan, 0.5)):
-        with pytest.raises(ValueError, match=f"^need t >= 0 and gamma >= 0, got t={t}, "
-                                             f"gamma={gamma}$"):
-            damped_heat_apply(f, t, gamma)
+
+
+def test_heat_flow_rejects_an_infinite_time(grid):
+    # at t = inf the multiplier exp(-t |xi|^2) would be NaN at the zero mode
+    with pytest.raises(ValueError, match="^heat flow needs a finite t >= 0, got inf$"):
+        heat_apply(gaussian(grid), math.inf)
 
 
 def test_leray_annihilates_gradients(grid):
@@ -379,9 +354,9 @@ ACROSS_GRIDS = {
 @pytest.mark.parametrize("combine", ACROSS_GRIDS.values(), ids=ACROSS_GRIDS.keys())
 def test_arithmetic_across_grids_is_rejected(combine):
     grid, other = Grid(2, 16, 4.0), Grid(2, 16, 8.0)
-    with pytest.raises(ValueError, match=r"^fields live on different grids: "
-                                         r"Grid\(dim=2, m=16, L=4\.0\) and "
-                                         r"Grid\(dim=2, m=16, L=8\.0\)$"):
+    with pytest.raises(ValueError, match=r"^the left operand lives on "
+                                         r"Grid\(dim=2, m=16, L=4\.0\), not on the right "
+                                         r"operand's grid Grid\(dim=2, m=16, L=8\.0\)$"):
         combine(grid, other)
     assert combine(grid, grid).grid is grid
 
@@ -422,7 +397,8 @@ def test_non_finite_sizes_are_rejected(name, make, bad):
      r"expected 2 components, got 3"),
     (lambda grid: VectorField.from_components([SpectralField.zero(grid),
                                                SpectralField.zero(Grid(2, 16, 8.0))]),
-     r"vector components live on different grids"),
+     r"component 1 lives on Grid\(dim=2, m=16, L=8\.0\), "
+     r"not on component 0's grid Grid\(dim=2, m=16, L=4\.0\)$"),
 ], ids=["dim 1", "dim 4", "odd m", "small m", "t_min above t_max", "t_min zero",
         "scalar coeffs", "vector coeffs", "scalar values", "vector values", "one component",
         "three components", "mixed grids"])
